@@ -117,6 +117,20 @@ def _check_ground_set(m, part: Partition) -> None:
         )
 
 
+def _cell_row_sums(a: np.ndarray, part: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums of ``a`` over each cell's columns, with rows in cell order.
+
+    Rows and columns are permuted so that every cell is one contiguous run.
+    Returns the n x t sums and ``starts``, where each cell's run begins, so
+    a second ``reduceat`` over the rows reduces them per cell.
+    """
+    order = np.fromiter(
+        (v for cell in part.cells for v in cell), dtype=np.intp, count=part.n
+    )
+    starts = np.cumsum((0,) + part.sizes[:-1])
+    return np.add.reduceat(a[np.ix_(order, order)], starts, axis=1), starts
+
+
 def quotient_matrix(m, part: Partition):
     """Average block row sums: b_ij = (sum of block (i,j) entries) / |cell i|.
 
@@ -137,13 +151,9 @@ def quotient_matrix(m, part: Partition):
                 ]
             )
         return ExactMatrix(rows)
-    a = as_numeric(m)
-    t = part.t
-    out = np.empty((t, t), dtype=a.dtype if a.dtype.kind == "c" else float)
-    for i, ci in enumerate(part.cells):
-        for j, cj in enumerate(part.cells):
-            out[i, j] = a[np.ix_(ci, cj)].sum() / len(ci)
-    return out
+    sums, starts = _cell_row_sums(as_numeric(m), part)
+    sizes = np.array(part.sizes, dtype=float)
+    return np.add.reduceat(sums, starts, axis=0) / sizes[:, None]
 
 
 def is_equitable(m, part: Partition, tol: float = 1e-12) -> bool:
@@ -160,13 +170,10 @@ def is_equitable(m, part: Partition, tol: float = 1e-12) -> bool:
                 if len(sums) > 1:
                     return False
         return True
-    a = as_numeric(m)
-    for ci in part.cells:
-        for cj in part.cells:
-            sums = a[np.ix_(ci, cj)].sum(axis=1)
-            if np.max(sums) - np.min(sums) > tol:
-                return False
-    return True
+    sums, starts = _cell_row_sums(as_numeric(m), part)
+    top = np.maximum.reduceat(sums, starts, axis=0)
+    bottom = np.minimum.reduceat(sums, starts, axis=0)
+    return not np.any(top - bottom > tol)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +236,27 @@ class BlockSpec:
             for i in range(t)
         ]
         return ExactMatrix(rows)
+
+    def to_numpy(self) -> np.ndarray:
+        """The realized matrix as floats, without building it exactly.
+
+        Every entry is ``float`` of the exact entry; the diagonal sum
+        ``l_i + p_i`` is taken exactly before the conversion, so the array
+        equals ``realize_block_matrix(self).to_numpy()`` bit for bit.
+        """
+        t = self.t
+        table = np.array(
+            [
+                [float(self.l[i] if i == j else self.s[i][j]) for j in range(t)]
+                for i in range(t)
+            ]
+        )
+        sizes = np.array(self.sizes)
+        a = np.repeat(np.repeat(table, sizes, axis=0), sizes, axis=1)
+        np.fill_diagonal(
+            a, np.repeat([float(l + p) for l, p in zip(self.l, self.p)], sizes)
+        )
+        return a
 
     def to_json(self) -> dict:
         def enc(x):

@@ -33,10 +33,11 @@ from .families import (
     format_family,
 )
 from .graphs import Digraph, Graph, is_strongly_connected, vertex_connectivity
-from .quotient import BlockSpec, ProbeReport, conjecture_probe, realize_block_matrix
+from .quotient import BlockSpec, ProbeReport, conjecture_probe
 
 UNDIRECTED_VERTEX_BUDGET = 7  # 2**21 labeled graphs
 DIRECTED_VERTEX_BUDGET = 5  # 2**20 labeled digraphs
+PROBE_ORDER_BUDGET = 500  # largest random probe matrix: 500 x 500 floats
 _BATCH_BITS = 14
 
 OBJECTIVES = ("rho", "q", "rhoD", "qD")
@@ -680,21 +681,39 @@ class ConjectureSearchResult:
         return payload
 
 
-def _random_nonnegative_blockspec(rng: random.Random, n_range, t_range) -> BlockSpec:
+def _check_probe_parameters(trials: int, n_range, t_range) -> None:
+    """Reject trial counts and ranges no random probe campaign can use."""
+    if trials < 1:
+        raise InvalidParameters(f"need trials >= 1, got {trials}")
+    if not 1 <= t_range[0] <= t_range[1]:
+        raise InvalidParameters(f"need 1 <= t_min <= t_max, got t range {t_range}")
+    if not 1 <= n_range[0] <= n_range[1]:
+        raise InvalidParameters(f"need 1 <= n_min <= n_max, got n range {n_range}")
+    order = max(n_range[1], t_range[1])
+    if order > PROBE_ORDER_BUDGET:
+        raise BudgetExceeded(
+            f"random probe matrices are capped at order {PROBE_ORDER_BUDGET}, "
+            f"got {order}"
+        )
+
+
+def _random_blockspec(rng: random.Random, n_range, t_range, coeff) -> BlockSpec:
+    """Random BlockSpec with t in t_range blocks and order n in n_range
+    (raised to t when below it); every coefficient is ``coeff(rng)``.
+
+    The draws come in a fixed order (t, n, the sizes, then l, p and s),
+    which recorded outputs depend on.
+    """
     t = rng.randint(t_range[0], t_range[1])
     n = rng.randint(max(t, n_range[0]), max(t, n_range[1]))
     sizes = [1] * t
     for _ in range(n - t):
         sizes[rng.randrange(t)] += 1
-
-    def coeff():
-        return Fraction(rng.randint(0, 40), 4)  # rationals in [0, 10]
-
     return BlockSpec(
         sizes=tuple(sizes),
-        l=tuple(coeff() for _ in range(t)),
-        p=tuple(coeff() for _ in range(t)),
-        s=tuple(tuple(coeff() for _ in range(t)) for _ in range(t)),
+        l=tuple(coeff(rng) for _ in range(t)),
+        p=tuple(coeff(rng) for _ in range(t)),
+        s=tuple(tuple(coeff(rng) for _ in range(t)) for _ in range(t)),
     )
 
 
@@ -711,11 +730,15 @@ def conjecture_search(
     Deterministic given the seed (per-trial independent substreams). Stops
     at the first failing instance and returns it fully; None expected.
     """
+    _check_probe_parameters(trials, n_range, t_range)
+
+    def coeff(rng):
+        return Fraction(rng.randint(0, 40), 4)  # rationals in [0, 10]
+
     for i in range(trials):
         rng = random.Random(f"{seed}:{i}")
-        spec = _random_nonnegative_blockspec(rng, n_range, t_range)
-        matrix = realize_block_matrix(spec).to_numpy()
-        report = conjecture_probe(matrix, spec.partition(), tol=tol)
+        spec = _random_blockspec(rng, n_range, t_range, coeff)
+        report = conjecture_probe(spec.to_numpy(), spec.partition(), tol=tol)
         if not report.holds:
             return ConjectureSearchResult(
                 trials=i + 1, seed=seed, counterexample=spec, report=report

@@ -685,27 +685,23 @@ def _handle_corollary_bounds(claim_id: str, params: dict) -> VerificationReport:
 def _handle_block_spectrum_random(params: dict) -> VerificationReport:
     import random
 
-    from .quotient import realize_block_matrix
+    from .search import _check_probe_parameters, _random_blockspec
 
     trials = int(params.get("trials", 1000))
     seed = int(params.get("seed", 0))
     t_max = int(params.get("t_max", 4))
     n_max = int(params.get("n_max", 20))
+    n_range, t_range = (1, n_max), (1, t_max)
+    _check_probe_parameters(trials, n_range, t_range)
+
+    def coeff(rng):
+        return rng.randint(-5, 5)
+
     dev = 0.0
     for i in range(trials):
         rng = random.Random(f"{seed}:{i}")
-        t = rng.randint(1, t_max)
-        n = rng.randint(t, n_max)
-        sizes = [1] * t
-        for _ in range(n - t):
-            sizes[rng.randrange(t)] += 1
-        spec = BlockSpec(
-            sizes=tuple(sizes),
-            l=tuple(rng.randint(-5, 5) for _ in range(t)),
-            p=tuple(rng.randint(-5, 5) for _ in range(t)),
-            s=tuple(tuple(rng.randint(-5, 5) for _ in range(t)) for _ in range(t)),
-        )
-        numeric = eigenvalues(realize_block_matrix(spec).to_numpy(), cluster_tol=0.0)
+        spec = _random_blockspec(rng, n_range, t_range, coeff)
+        numeric = eigenvalues(spec.to_numpy(), cluster_tol=0.0)
         dev = max(dev, block_spectrum(spec).deviation(numeric))
     return VerificationReport(
         claim_id="lem3.4.random",

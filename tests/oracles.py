@@ -3,13 +3,16 @@
 Deliberately separate algorithms from the package's implementations:
 Bareiss elimination instead of Faddeev-LeVerrier, Lagrange interpolation
 instead of recurrences, Floyd-Warshall instead of BFS, max-flow Menger
-instead of cut enumeration, bisection instead of closed forms.
+instead of cut enumeration, bisection instead of closed forms, per-block
+loops instead of cell-sum reductions.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+
+import numpy as np
 
 from eqspec.graphs import Digraph, Graph
 from eqspec.linalg import ExactMatrix, Polynomial
@@ -219,3 +222,23 @@ def bisection_largest_root(poly: Polynomial, lo: Fraction, hi: Fraction, steps: 
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
+
+
+def quotient_matrix_blockwise(a: np.ndarray, part) -> np.ndarray:
+    """Numeric quotient one block at a time: block sum over the row cell size."""
+    t = part.t
+    out = np.empty((t, t), dtype=a.dtype if a.dtype.kind == "c" else float)
+    for i, ci in enumerate(part.cells):
+        for j, cj in enumerate(part.cells):
+            out[i, j] = a[np.ix_(ci, cj)].sum() / len(ci)
+    return out
+
+
+def is_equitable_blockwise(a: np.ndarray, part, tol: float = 1e-12) -> bool:
+    """Numeric equitability one block at a time: row-sum spread within tol."""
+    for ci in part.cells:
+        for cj in part.cells:
+            sums = a[np.ix_(ci, cj)].sum(axis=1)
+            if np.max(sums) - np.min(sums) > tol:
+                return False
+    return True

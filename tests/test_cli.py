@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqspec.cli import main
 from eqspec.families import Petersen, build
@@ -173,6 +176,75 @@ def test_conjecture_subcommand(run):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"trials": 200, "seed": 3, "counterexample_found": False}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["conjecture", "--trials", "5", "--n-max", "1"], "n range"),
+        (["conjecture", "--trials", "5", "--t-max", "0"], "t range"),
+        (["conjecture", "--trials", "-3"], "trials >= 1"),
+        (["conjecture", "--trials", "0"], "trials >= 1"),
+        (["conjecture", "--trials", "1", "--n-max", "1000000000"], "capped"),
+        (["conjecture", "--trials", "1", "--t-max", "1000000000"], "capped"),
+        (["verify", "lem3.4.random", "--params", "t_max=0"], "t range"),
+        (["verify", "lem3.4.random", "--params", "n_max=0"], "n range"),
+        (["verify", "lem3.4.random", "--params", "trials=-2"], "trials >= 1"),
+        (["verify", "lem3.4.random", "--params", "trials=1,n_max=10000000"], "capped"),
+    ],
+)
+def test_bad_probe_parameters_are_usage_errors(run, argv, message):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+_ORDERS = st.one_of(st.integers(-2, 8), st.integers(501, 10**12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    trials=st.integers(-3, 3),
+    seed=st.integers(-(10**9), 10**9),
+    n_max=_ORDERS,
+    t_max=_ORDERS,
+)
+def test_conjecture_fuzz_keeps_exit_contract(trials, seed, n_max, t_max):
+    code, err = _run_quietly(
+        ["conjecture", "--trials", str(trials), "--seed", str(seed),
+         "--n-max", str(n_max), "--t-max", str(t_max)]
+    )
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=st.fixed_dictionaries(
+        {},
+        optional={
+            "trials": st.integers(-3, 3),
+            "seed": st.integers(-(10**9), 10**9),
+            "n_max": _ORDERS,
+            "t_max": _ORDERS,
+        },
+    )
+)
+def test_block_spectrum_random_fuzz_keeps_exit_contract(params):
+    params.setdefault("trials", 2)
+    text = ",".join(f"{key}={value}" for key, value in params.items())
+    code, err = _run_quietly(["verify", "lem3.4.random", "--params", text])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 def test_output_deterministic_across_runs(run, petersen_file):

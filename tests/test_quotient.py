@@ -40,6 +40,8 @@ from eqspec.quotient import (
     realize_block_matrix,
 )
 
+from oracles import is_equitable_blockwise, quotient_matrix_blockwise
+
 PETERSEN_PART = Partition.from_sizes((5, 5))
 
 
@@ -143,6 +145,81 @@ def test_is_equitable_float_tolerance():
     assert is_equitable(m, Partition.from_sizes((2,)))
 
 
+def _shuffled_equitable(rng, spec: BlockSpec):
+    """The realized spec with its indices shuffled, and the partition that
+    the shuffle makes of its blocks: equitable, with non-contiguous cells."""
+    n = spec.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    a = np.empty((n, n))
+    a[np.ix_(perm, perm)] = realize_block_matrix(spec).to_numpy()
+    cells = [[perm[u] for u in cell] for cell in spec.partition().cells]
+    return a, Partition(cells)
+
+
+def _random_int_spec(rng) -> BlockSpec:
+    t = rng.randint(1, 4)
+    return BlockSpec(
+        sizes=tuple(rng.randint(1, 4) for _ in range(t)),
+        l=tuple(rng.randint(-5, 5) for _ in range(t)),
+        p=tuple(rng.randint(-5, 5) for _ in range(t)),
+        s=tuple(tuple(rng.randint(-5, 5) for _ in range(t)) for _ in range(t)),
+    )
+
+
+def test_numeric_branches_equal_blockwise_oracle_on_integer_input():
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(200):
+        a, part = _shuffled_equitable(rng, _random_int_spec(rng))
+        if rng.random() < 0.5:
+            a[rng.randrange(part.n), rng.randrange(part.n)] += rng.choice((-1, 1))
+        expected = is_equitable_blockwise(a, part)
+        verdicts.add(expected)
+        assert is_equitable(a, part) is expected
+        assert np.array_equal(quotient_matrix(a, part), quotient_matrix_blockwise(a, part))
+    assert verdicts == {True, False}
+
+
+def test_numeric_branches_match_blockwise_oracle_on_real_and_complex_input():
+    rng = random.Random(42)
+    gen = np.random.default_rng(42)
+    for _ in range(100):
+        a, part = _shuffled_equitable(rng, _random_int_spec(rng))
+        n = part.n
+        for m in (
+            a * 0.1,
+            gen.standard_normal((n, n)),
+            a * (1 + 2j),
+            gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)),
+        ):
+            b = quotient_matrix(m, part)
+            assert b.dtype == quotient_matrix_blockwise(m, part).dtype
+            # only the summation order differs: 1e-12 is far above its
+            # rounding error on entries of magnitude below 10
+            np.testing.assert_allclose(
+                b, quotient_matrix_blockwise(m, part), rtol=0, atol=1e-12
+            )
+            assert is_equitable(m, part) == is_equitable_blockwise(m, part)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("factor, expected", [(0.9, True), (1.1, False)])
+def test_numeric_equitable_spread_around_tolerance(tol, factor, expected):
+    rng = random.Random(44)
+    checked = 0
+    for _ in range(20):
+        a, part = _shuffled_equitable(rng, _random_int_spec(rng))
+        cell = max(part.cells, key=len)
+        if len(cell) < 2:
+            continue
+        a[cell[-1], cell[0]] += factor * tol
+        assert is_equitable(a, part, tol=tol) is expected
+        assert is_equitable_blockwise(a, part, tol=tol) is expected
+        checked += 1
+    assert checked >= 10
+
+
 # ---------------------------------------------------------------------------
 # block specs
 
@@ -211,6 +288,38 @@ def test_blockspec_rational_coefficients_round_trip():
     m = realize_block_matrix(spec)
     assert m[0, 1] == Fraction(1, 2)
     assert m[2, 0] == Fraction(5, 2)
+
+
+def test_blockspec_to_numpy_is_bit_identical_to_exact_realization():
+    rng = random.Random(45)
+
+    def coeff():
+        return Fraction(rng.randint(-30, 30), rng.choice((1, 3, 4, 7, 10)))
+
+    # float(l) + float(p) misses float(l + p) in the last bit on these
+    specs = [
+        BlockSpec(
+            sizes=(2, 1),
+            l=(Fraction(1, 3), Fraction(2, 7)),
+            p=(Fraction(-5, 3), Fraction(1, 10)),
+            s=((0, 1), (1, 0)),
+        ),
+    ]
+    for _ in range(300):
+        t = rng.randint(1, 5)
+        specs.append(
+            BlockSpec(
+                sizes=tuple(rng.choice((1, 1, 2, 3, 5)) for _ in range(t)),
+                l=tuple(coeff() for _ in range(t)),
+                p=tuple(coeff() for _ in range(t)),
+                s=tuple(tuple(coeff() for _ in range(t)) for _ in range(t)),
+            )
+        )
+    for spec in specs:
+        fast = spec.to_numpy()
+        exact = realize_block_matrix(spec).to_numpy()
+        assert fast.shape == exact.shape and fast.dtype == exact.dtype
+        assert fast.tobytes() == exact.tobytes()
 
 
 # ---------------------------------------------------------------------------
