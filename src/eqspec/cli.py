@@ -10,6 +10,7 @@ success paths print JSON on stdout (the one exception is ``family
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -82,13 +83,13 @@ def _parse_params(spec: str | None) -> dict:
         if not sep:
             raise EqspecError(f"bad parameter {item!r}, expected key=value")
         key, value = key.strip(), value.strip()
-        if ":" in value:
-            params[key] = tuple(int(x) for x in value.split(":"))
-        else:
-            try:
+        try:
+            if ":" in value:
+                params[key] = tuple(int(x) for x in value.split(":"))
+            else:
                 params[key] = int(value)
-            except ValueError:
-                params[key] = value
+        except ValueError:
+            params[key] = value  # the claim's handler rejects what it cannot use
     return params
 
 
@@ -197,7 +198,9 @@ def _cmd_conjecture(args) -> int:
     return 1 if result.found else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="eqspec",
         description="Spectra of graph/digraph matrices through equitable quotients.",
@@ -239,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directed", action="store_true")
     p.add_argument("--objective", required=True, choices=search.OBJECTIVES)
     p.add_argument("--mode", required=True, choices=("max", "min"))
-    p.add_argument("--shards", type=int, default=1)
+    p.add_argument("--shards", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_scan)
 
@@ -265,7 +268,7 @@ def main(argv=None) -> int:
     except EqspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -171,9 +171,14 @@ def is_equitable(m, part: Partition, tol: float = 1e-12) -> bool:
                     return False
         return True
     sums, starts = _cell_row_sums(as_numeric(m), part)
-    top = np.maximum.reduceat(sums, starts, axis=0)
-    bottom = np.minimum.reduceat(sums, starts, axis=0)
-    return not np.any(top - bottom > tol)
+    # numpy orders complex numbers lexicographically, so each part is
+    # spread-tested on its own
+    for values in (sums.real, sums.imag) if np.iscomplexobj(sums) else (sums,):
+        top = np.maximum.reduceat(values, starts, axis=0)
+        bottom = np.minimum.reduceat(values, starts, axis=0)
+        if np.any(top - bottom > tol):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

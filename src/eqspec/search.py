@@ -1,20 +1,24 @@
 """Exhaustive scans over small (di)graphs and randomized probes.
 
-Enumeration is over labeled adjacency bitmasks (no isomorphism rejection
-during the scan); the heavy per-graph work (connectivity, vertex
-connectivity, spectral objectives) is vectorized over batches of bitmasks,
-which keeps the full n=7 undirected / n=5 directed sweeps at desk scale.
-Isomorphism testing is applied only to the optimizer sets, which are tiny.
+A scan walks the S_n orbits of the labeled adjacency bitmasks, not every
+bitmask: each orbit is found once, through a table of how each vertex
+permutation moves the bits, and its smallest mask stands for it. The
+per-graph work (connectivity, vertex connectivity, spectral objectives) is
+vectorized over the representatives, and each orbit counts with its size.
+The orbits near an optimum are then expanded back to their labeled masks
+and evaluated again, so certificates report the same value, optimizer masks
+and counts as a scan over every labeled mask. Isomorphism testing is applied
+only to the optimizer sets, which are tiny.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 
@@ -38,10 +42,14 @@ from .quotient import BlockSpec, ProbeReport, conjecture_probe
 UNDIRECTED_VERTEX_BUDGET = 7  # 2**21 labeled graphs
 DIRECTED_VERTEX_BUDGET = 5  # 2**20 labeled digraphs
 PROBE_ORDER_BUDGET = 500  # largest random probe matrix: 500 x 500 floats
-_BATCH_BITS = 14
+_WALK_WINDOW = 4096  # masks searched at a time for the next unseen orbit
 
 OBJECTIVES = ("rho", "q", "rhoD", "qD")
 _TIE_TOL = 1e-9
+# Orbits within this much (beyond _TIE_TOL) of the best representative are
+# re-evaluated mask by mask: relabeling a graph moves a computed eigenvalue
+# by rounding only, far less than this.
+_ORBIT_SLACK = 1e-6
 
 
 def pair_table(n: int, directed: bool) -> tuple[tuple[int, int], ...]:
@@ -76,6 +84,78 @@ def _check_budget(n: int, directed: bool) -> None:
         )
     if n < 2:
         raise InvalidParameters("enumeration needs n >= 2")
+
+
+# ---------------------------------------------------------------------------
+# isomorphism orbits of the mask space
+
+
+@lru_cache(maxsize=None)
+def _bit_permutations(n: int, directed: bool) -> np.ndarray:
+    """(m, n!) table: column p holds 2**(where bit b goes) under the p-th
+    vertex permutation, so a mask's bit vector times it relabels the mask.
+
+    Stored as float64, exact for masks below 2**53, so that product runs in
+    BLAS. Capped at n=7, where it is 5040 columns wide.
+    """
+    if n > UNDIRECTED_VERTEX_BUDGET:
+        raise BudgetExceeded(
+            f"relabeling tables are capped at n={UNDIRECTED_VERTEX_BUDGET}, got n={n}"
+        )
+    pairs = np.array(pair_table(n, directed), dtype=np.intp).reshape(-1, 2)
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    heads, tails = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
+    if not directed:
+        heads, tails = np.minimum(heads, tails), np.maximum(heads, tails)
+    bit_of = np.zeros((n, n), dtype=np.intp)
+    bit_of[pairs[:, 0], pairs[:, 1]] = np.arange(len(pairs))
+    table = np.ldexp(1.0, bit_of[heads, tails]).T.copy()
+    table.flags.writeable = False
+    return table
+
+
+def _relabelings(n: int, directed: bool, masks) -> np.ndarray:
+    """Every relabeling of each mask: shape masks.shape + (n!,)."""
+    table = _bit_permutations(n, directed)
+    shifts = np.arange(table.shape[0], dtype=np.int64)
+    bits = (np.asarray(masks, dtype=np.int64)[..., None] >> shifts) & 1
+    return (bits.astype(np.float64) @ table).astype(np.int64)
+
+
+@lru_cache(maxsize=None)
+def _orbits(n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The S_n orbits of the mask space as (representatives, sizes).
+
+    Masks are walked in ascending order, so the first unseen mask of an
+    orbit is its smallest; marking its whole orbit seen skips the rest. An
+    orbit's size is n! over the number of relabelings that fix its mask.
+    """
+    total = 1 << len(pair_table(n, directed))
+    relabelings = factorial(n)
+    seen = np.zeros(total, dtype=bool)
+    reps, sizes = [], []
+    pos = 0
+    while pos < total:
+        window = seen[pos : pos + _WALK_WINDOW]
+        first = int(window.argmin())
+        if window[first]:
+            pos += window.size
+            continue
+        mask = pos + first
+        images = _relabelings(n, directed, mask)
+        seen[images] = True
+        reps.append(mask)
+        sizes.append(relabelings // np.count_nonzero(images == mask))
+        pos = mask + 1
+    out = (np.array(reps, dtype=np.int64), np.array(sizes, dtype=np.int64))
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
+def _expand(n: int, directed: bool, reps: np.ndarray) -> np.ndarray:
+    """Every labeled mask of the orbits of ``reps``, in ascending order."""
+    return np.unique(_relabelings(n, directed, reps))
 
 
 # ---------------------------------------------------------------------------
@@ -180,121 +260,51 @@ def _objective_batch(
     return out
 
 
-class _Best:
-    """Running optimum with tolerance-grouped optimizer masks."""
-
-    __slots__ = ("mode", "value", "candidates")
-
-    def __init__(self, mode: str):
-        if mode not in ("max", "min"):
-            raise InvalidParameters(f"mode must be 'max' or 'min', got {mode!r}")
-        self.mode = mode
-        self.value: float | None = None
-        self.candidates: list[tuple[int, float]] = []
-
-    def update(self, masks: np.ndarray, vals: np.ndarray) -> None:
-        if vals.size == 0:
-            return
-        batch_best = float(vals.max() if self.mode == "max" else vals.min())
-        if self.value is None:
-            self.value = batch_best
-        elif self.mode == "max":
-            self.value = max(self.value, batch_best)
-        else:
-            self.value = min(self.value, batch_best)
-        near = (
-            vals >= self.value - _TIE_TOL
-            if self.mode == "max"
-            else vals <= self.value + _TIE_TOL
-        )
-        self.candidates.extend(
-            (int(m), float(v)) for m, v in zip(masks[near], vals[near])
-        )
-        self._prune()
-
-    def _prune(self) -> None:
-        if self.value is None:
-            return
-        if self.mode == "max":
-            self.candidates = [c for c in self.candidates if c[1] >= self.value - _TIE_TOL]
-        else:
-            self.candidates = [c for c in self.candidates if c[1] <= self.value + _TIE_TOL]
-
-    def merge(self, other: "_Best") -> None:
-        if other.value is None:
-            return
-        if self.value is None:
-            self.value = other.value
-        elif self.mode == "max":
-            self.value = max(self.value, other.value)
-        else:
-            self.value = min(self.value, other.value)
-        self.candidates.extend(other.candidates)
-        self._prune()
-
-    def optimizers(self) -> tuple[int, ...]:
-        return tuple(sorted({m for m, _ in self.candidates}))
+def _optimum(masks: np.ndarray, vals: np.ndarray, mode: str):
+    """(optimum of vals, the masks whose value is within _TIE_TOL of it)."""
+    value = float(vals.max() if mode == "max" else vals.min())
+    near = vals >= value - _TIE_TOL if mode == "max" else vals <= value + _TIE_TOL
+    return value, tuple(masks[near].tolist())
 
 
-def _scan_range(n, directed, pairs, lo, hi, targets, need_kappa, need_objectives):
-    """Process masks in [lo, hi): returns (bests, examined-per-class)."""
-    bests = {key: _Best(mode) for key, (_, _, mode) in targets.items()}
-    examined: dict[int | None, int] = {}
-    for start in range(lo, hi, 1 << _BATCH_BITS):
-        stop = min(start + (1 << _BATCH_BITS), hi)
-        masks = np.arange(start, stop, dtype=np.int64)
-        adj = _adjacency_batch(masks, n, pairs, directed)
-        dist, connected = _distances_and_connectivity(adj)
-        if not connected.any():
-            continue
-        kappa = _kappa_batch(adj, connected) if need_kappa else None
-        values = _objective_batch(adj, dist, directed, need_objectives)
-        class_sel: dict[int | None, np.ndarray] = {}
-        for key, (k, objective, _) in targets.items():
-            if k not in class_sel:
-                class_sel[k] = connected if k is None else (kappa == k)
-                examined[k] = examined.get(k, 0) + int(class_sel[k].sum())
-            sel = class_sel[k]
-            bests[key].update(masks[sel], values[objective][sel])
-    return bests, examined
+def _run_scan(n, directed, targets):
+    """Shared scan driver. targets: key -> (k_or_None, objective, mode).
 
-
-def _run_scan(n, directed, targets, shards=1):
-    """Shared scan driver. targets: key -> (k_or_None, objective, mode)."""
+    Connectivity, vertex connectivity and the objectives are computed once
+    per orbit; a class counts each orbit with its size. The orbits near each
+    optimum are expanded to their labeled masks, whose own values decide
+    the optimum and its optimizers. Returns ({key: (value, optimizer masks)
+    or None for an empty class}, {k: labeled masks in the class}).
+    """
     _check_budget(n, directed)
     pairs = pair_table(n, directed)
-    total = 1 << len(pairs)
-    shards = max(1, int(shards))
+    reps, sizes = _orbits(n, directed)
     need_kappa = any(k is not None for k, _, _ in targets.values())
     need_objectives = tuple(sorted({obj for _, obj, _ in targets.values()}))
-    bounds = [
-        (total * s // shards, total * (s + 1) // shards) for s in range(shards)
-    ]
-    bounds = [(lo, hi) for lo, hi in bounds if hi > lo]
-    threads = max(1, int(os.environ.get("SPECTRA_THREADS", "1")))
-    results = []
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _scan_range, n, directed, pairs, lo, hi, targets, need_kappa, need_objectives
-                )
-                for lo, hi in bounds
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            _scan_range(n, directed, pairs, lo, hi, targets, need_kappa, need_objectives)
-            for lo, hi in bounds
-        ]
-    bests = {key: _Best(mode) for key, (_, _, mode) in targets.items()}
+    adj = _adjacency_batch(reps, n, pairs, directed)
+    dist, connected = _distances_and_connectivity(adj)
+    kappa = _kappa_batch(adj, connected) if need_kappa else None
+    values = _objective_batch(adj, dist, directed, need_objectives)
+    reach = _TIE_TOL + _ORBIT_SLACK
+    found = {}
     examined: dict[int | None, int] = {}
-    for shard_bests, shard_examined in results:
-        for key, best in shard_bests.items():
-            bests[key].merge(best)
-        for k, count in shard_examined.items():
-            examined[k] = examined.get(k, 0) + count
-    return bests, examined
+    for key, (k, objective, mode) in targets.items():
+        in_class = connected if k is None else kappa == k
+        examined[k] = int(sizes[in_class].sum())
+        if not in_class.any():
+            found[key] = None
+            continue
+        vals = values[objective]
+        if mode == "max":
+            near = in_class & (vals >= vals[in_class].max() - reach)
+        else:
+            near = in_class & (vals <= vals[in_class].min() + reach)
+        masks = _expand(n, directed, reps[near])
+        labeled = _adjacency_batch(masks, n, pairs, directed)
+        labeled_dist, _ = _distances_and_connectivity(labeled)
+        labeled_values = _objective_batch(labeled, labeled_dist, directed, (objective,))
+        found[key] = _optimum(masks, labeled_values[objective], mode)
+    return found, examined
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +316,8 @@ class ScanJob:
     """One extremal question: optimize an objective over a connectivity class.
 
     k=None drops the connectivity filter and scans every (strongly)
-    connected member. Sharding splits the bitmask space; shards are merged
-    associatively so the result is shard-count independent.
+    connected member. ``shards`` is accepted for compatibility and has no
+    effect: one orbit scan covers the whole mask space.
     """
 
     n: int
@@ -386,20 +396,15 @@ def _scan_note(n, directed, k) -> str:
 
 def extremal_scan(job: ScanJob) -> ExtremalCertificate:
     """Scan the full enumeration for the job's optimum and classify optimizers."""
-    key = "job"
-    bests, examined = _run_scan(
-        job.n,
-        job.directed,
-        {key: (job.k, job.objective, job.mode)},
-        shards=job.shards,
+    found, examined = _run_scan(
+        job.n, job.directed, {"job": (job.k, job.objective, job.mode)}
     )
-    best = bests[key]
-    if best.value is None:
+    if found["job"] is None:
         raise InvalidParameters(
             f"no {'strongly connected digraph' if job.directed else 'connected graph'}"
             f" with the requested connectivity on n={job.n}"
         )
-    optimizers = best.optimizers()
+    value, optimizers = found["job"]
     refs = _classification_targets(job.n, job.k, job.directed)
     return ExtremalCertificate(
         n=job.n,
@@ -407,7 +412,7 @@ def extremal_scan(job: ScanJob) -> ExtremalCertificate:
         directed=job.directed,
         objective=job.objective,
         mode=job.mode,
-        value=best.value,
+        value=value,
         optimizers=optimizers,
         classification=_classify(optimizers, refs),
         examined=examined[job.k],
@@ -419,7 +424,8 @@ def theorem_scan(n: int, directed: bool, shards: int = 1) -> dict:
     """All four extremal questions for every connectivity class in one pass.
 
     Directions follow the extremal claims: maximize rho and q, minimize
-    rhoD and qD. Returns {k: {objective: certificate}}.
+    rhoD and qD. Returns {k: {objective: certificate}}. ``shards`` has no
+    effect.
     """
     _check_budget(n, directed)
     modes = {"rho": "max", "q": "max", "rhoD": "min", "qD": "min"}
@@ -428,20 +434,20 @@ def theorem_scan(n: int, directed: bool, shards: int = 1) -> dict:
         for k in range(1, n - 1)
         for obj, mode in modes.items()
     }
-    bests, examined = _run_scan(n, directed, targets, shards=shards)
+    found, examined = _run_scan(n, directed, targets)
     refs_by_k = {k: _classification_targets(n, k, directed) for k in range(1, n - 1)}
     out: dict[int, dict[str, ExtremalCertificate]] = {}
-    for (k, obj), best in bests.items():
-        if best.value is None:
+    for (k, obj), result in found.items():
+        if result is None:
             continue
-        optimizers = best.optimizers()
+        value, optimizers = result
         out.setdefault(k, {})[obj] = ExtremalCertificate(
             n=n,
             k=k,
             directed=directed,
             objective=obj,
             mode=modes[obj],
-            value=best.value,
+            value=value,
             optimizers=optimizers,
             classification=_classify(optimizers, refs_by_k[k]),
             examined=examined[k],
@@ -454,25 +460,24 @@ def bound_scan(n: int, shards: int = 1) -> dict:
     """Global extremes of all four objectives over strongly connected digraphs.
 
     Returns {(objective, mode): certificate}; feeds the complete-digraph /
-    directed-cycle bound verifications.
+    directed-cycle bound verifications. ``shards`` has no effect.
     """
     targets = {
         (obj, mode): (None, obj, mode)
         for obj in OBJECTIVES
         for mode in ("max", "min")
     }
-    bests, examined = _run_scan(n, True, targets, shards=shards)
+    found, examined = _run_scan(n, True, targets)
     refs = _classification_targets(n, None, True)
     out = {}
-    for (obj, mode), best in bests.items():
-        optimizers = best.optimizers()
+    for (obj, mode), (value, optimizers) in found.items():
         out[(obj, mode)] = ExtremalCertificate(
             n=n,
             k=None,
             directed=True,
             objective=obj,
             mode=mode,
-            value=best.value,
+            value=value,
             optimizers=optimizers,
             classification=_classify(optimizers, refs),
             examined=examined[None],
@@ -487,72 +492,29 @@ def enumerate_class(n: int, directed: bool, kappa: int):
     _check_budget(n, directed)
     if not 1 <= kappa <= n - 1:
         raise InvalidParameters(f"need 1 <= kappa <= n-1, got kappa={kappa}")
-    pairs = pair_table(n, directed)
-    total = 1 << len(pairs)
-    for start in range(0, total, 1 << _BATCH_BITS):
-        stop = min(start + (1 << _BATCH_BITS), total)
-        masks = np.arange(start, stop, dtype=np.int64)
-        adj = _adjacency_batch(masks, n, pairs, directed)
-        _, connected = _distances_and_connectivity(adj)
-        kap = _kappa_batch(adj, connected)
-        for mask in masks[kap == kappa]:
-            yield graph_from_mask(n, int(mask), directed)
+    reps, _ = _orbits(n, directed)
+    adj = _adjacency_batch(reps, n, pair_table(n, directed), directed)
+    _, connected = _distances_and_connectivity(adj)
+    in_class = _kappa_batch(adj, connected) == kappa
+    for mask in _expand(n, directed, reps[in_class]):
+        yield graph_from_mask(n, int(mask), directed)
 
 
 # ---------------------------------------------------------------------------
-# isomorphism (brute force, small n)
-
-
-def _degree_invariant(obj):
-    if isinstance(obj, Graph):
-        return sorted(obj.degrees())
-    outs = obj.out_degrees()
-    ins = [0] * obj.n
-    for _, v in obj.arcs:
-        ins[v] += 1
-    return sorted(zip(outs, ins))
+# isomorphism (through the relabeling table, n <= 7)
 
 
 def is_isomorphic(a, b) -> bool:
-    """Permutation search over all n! relabelings (intended for n <= 7)."""
-    if isinstance(a, Graph) != isinstance(b, Graph):
+    """Whether b is a relabeling of a (n <= 7)."""
+    if type(a) is not type(b) or a.n != b.n:
         return False
-    if a.n != b.n:
-        return False
-    directed = isinstance(a, Digraph)
-    items_a = a.arcs if directed else a.edges
-    items_b = b.arcs if directed else b.edges
-    if len(items_a) != len(items_b):
-        return False
-    if _degree_invariant(a) != _degree_invariant(b):
-        return False
-    for perm in permutations(range(a.n)):
-        if directed:
-            mapped = {(perm[u], perm[v]) for u, v in items_a}
-        else:
-            mapped = {
-                (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in items_a
-            }
-        if mapped == items_b:
-            return True
-    return False
+    return mask_from_graph(b) in labeled_isomorph_masks(a)
 
 
 def labeled_isomorph_masks(obj) -> frozenset:
-    """Adjacency bitmasks of every relabeling of the given (di)graph."""
+    """Adjacency bitmasks of every relabeling of the given (di)graph (n <= 7)."""
     directed = isinstance(obj, Digraph)
-    pairs = pair_table(obj.n, directed)
-    index = {pair: bit for bit, pair in enumerate(pairs)}
-    items = obj.arcs if directed else obj.edges
-    masks = set()
-    for perm in permutations(range(obj.n)):
-        mask = 0
-        for u, v in items:
-            a, b = perm[u], perm[v]
-            key = (a, b) if directed else (min(a, b), max(a, b))
-            mask |= 1 << index[key]
-        masks.add(mask)
-    return frozenset(masks)
+    return frozenset(_expand(obj.n, directed, mask_from_graph(obj)).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidParameters, UnknownClaim
@@ -398,6 +399,25 @@ def _containment_deviation(big: Spectrum, small: Spectrum) -> float:
     return worst
 
 
+def _int_param(params: dict, name: str, default=None, as_tuple: bool = False):
+    """``params[name]`` (or the default) as an int, or as a tuple of ints when
+    ``as_tuple``; any other value raises InvalidParameters."""
+
+    def to_int(item) -> int:
+        return int(item) if isinstance(item, str) else operator.index(item)
+
+    value = params.get(name, default)
+    try:
+        if not as_tuple:
+            return to_int(value)
+        if isinstance(value, (tuple, list)):
+            return tuple(to_int(item) for item in value)
+    except (TypeError, ValueError):
+        pass
+    shape = "a colon-separated tuple of integers such as 2:3" if as_tuple else "an integer"
+    raise InvalidParameters(f"parameter {name} must be {shape}, got {value!r}")
+
+
 def _opt_set(values: dict[int, float], mode: str, tol: float = 1e-9) -> list[int]:
     target = max(values.values()) if mode == "max" else min(values.values())
     return sorted(p for p, v in values.items() if abs(v - target) <= tol)
@@ -412,7 +432,7 @@ _DIGRAPH_SUBCLAIMS = {
 
 
 def _handle_digraph_theorem(sub: str, params: dict) -> VerificationReport:
-    n, k = int(params["n"]), int(params["k"])
+    n, k = _int_param(params, "n"), _int_param(params, "k")
     kind, mode = _DIGRAPH_SUBCLAIMS[sub]
     bound = digraph_bound(n, k, kind)
     dev = 0.0
@@ -454,7 +474,7 @@ def _handle_digraph_theorem(sub: str, params: dict) -> VerificationReport:
 
 
 def _handle_graph_theorem(sub: str, params: dict) -> VerificationReport:
-    n, k = int(params["n"]), int(params["k"])
+    n, k = _int_param(params, "n"), _int_param(params, "k")
     kind, mode = _DIGRAPH_SUBCLAIMS[sub]
     bound = graph_bound(n, k, kind)
     dev = 0.0
@@ -511,7 +531,7 @@ def _handle_graph_theorem(sub: str, params: dict) -> VerificationReport:
 
 
 def _handle_laplacian_spectra(claim_id, directed, sub, params) -> VerificationReport:
-    n, k, p = int(params["n"]), int(params["k"]), int(params["p"])
+    n, k, p = (_int_param(params, name) for name in ("n", "k", "p"))
     kind = MatrixKind.LAPLACIAN if sub == "i" else MatrixKind.DISTANCE_LAPLACIAN
     if directed:
         fam = KnkpDigraph(n, k, p)
@@ -607,14 +627,14 @@ _CLIQUESTAR_NOTES = {
 def _handle_factored_charpoly(family: str, item: str, params: dict) -> VerificationReport:
     kind = _ITEM_KINDS[item]
     if family == "ex3.5":
-        parts = tuple(int(x) for x in params["parts"])
+        parts = _int_param(params, "parts", as_tuple=True)
         factored = multipartite_charpoly(parts, kind)
         display = multipartite_display_charpoly(parts, kind)
         matrix = build_matrix(build(CompleteMultipartite(parts)), kind)
         key = {"parts": list(parts)}
         note = ""
     else:
-        sizes = tuple(int(x) for x in params["sizes"])
+        sizes = _int_param(params, "sizes", as_tuple=True)
         factored = cliquestar_charpoly(sizes, kind)
         display = cliquestar_display_charpoly(sizes, kind)
         matrix = build_matrix(build(CliqueStar(sizes)), kind)
@@ -641,8 +661,8 @@ def _handle_corollary_bounds(claim_id: str, params: dict) -> VerificationReport:
     from .families import BidirectedComplete, DirectedCycle
     from .search import bound_scan, labeled_isomorph_masks  # heavy import kept local
 
-    n = int(params["n"])
-    certificates = bound_scan(n, shards=int(params.get("shards", 1)))
+    n = _int_param(params, "n")
+    certificates = bound_scan(n, shards=_int_param(params, "shards", 1))
     if claim_id == "cor2.5":
         expected_masks = labeled_isomorph_masks(build(BidirectedComplete(n)))
         expectations = {
@@ -687,10 +707,10 @@ def _handle_block_spectrum_random(params: dict) -> VerificationReport:
 
     from .search import _check_probe_parameters, _random_blockspec
 
-    trials = int(params.get("trials", 1000))
-    seed = int(params.get("seed", 0))
-    t_max = int(params.get("t_max", 4))
-    n_max = int(params.get("n_max", 20))
+    trials = _int_param(params, "trials", 1000)
+    seed = _int_param(params, "seed", 0)
+    t_max = _int_param(params, "t_max", 4)
+    n_max = _int_param(params, "n_max", 20)
     n_range, t_range = (1, n_max), (1, t_max)
     _check_probe_parameters(trials, n_range, t_range)
 

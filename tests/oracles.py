@@ -4,13 +4,15 @@ Deliberately separate algorithms from the package's implementations:
 Bareiss elimination instead of Faddeev-LeVerrier, Lagrange interpolation
 instead of recurrences, Floyd-Warshall instead of BFS, max-flow Menger
 instead of cut enumeration, bisection instead of closed forms, per-block
-loops instead of cell-sum reductions.
+loops instead of cell-sum reductions, one labeled graph and one permutation
+at a time instead of isomorphism orbits and relabeling tables.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
@@ -235,10 +237,77 @@ def quotient_matrix_blockwise(a: np.ndarray, part) -> np.ndarray:
 
 
 def is_equitable_blockwise(a: np.ndarray, part, tol: float = 1e-12) -> bool:
-    """Numeric equitability one block at a time: row-sum spread within tol."""
+    """Numeric equitability one block at a time: row-sum spread within tol,
+    taken on the real and the imaginary parts separately."""
     for ci in part.cells:
         for cj in part.cells:
             sums = a[np.ix_(ci, cj)].sum(axis=1)
-            if np.max(sums) - np.min(sums) > tol:
-                return False
+            for values in (sums.real, sums.imag):
+                if np.max(values) - np.min(values) > tol:
+                    return False
     return True
+
+
+def _mask_pairs(n: int, directed: bool) -> list[tuple[int, int]]:
+    """Bit b of an adjacency bitmask is the b-th vertex pair in
+    lexicographic order: ordered pairs for digraphs, i < j for graphs."""
+    return [(i, j) for i in range(n) for j in range(n) if i != j and (directed or i < j)]
+
+
+def _top_eigenvalue(m: np.ndarray, directed: bool) -> float:
+    if directed:
+        return float(np.abs(np.linalg.eigvals(m)).max())
+    return float(np.linalg.eigvalsh(m)[-1])
+
+
+def labeled_scan_table(n: int, directed: bool) -> list[tuple[int, int, dict]]:
+    """(mask, vertex connectivity, objectives) for every labeled (strongly)
+    connected (di)graph on n vertices, one graph at a time: Floyd-Warshall
+    distances, max-flow connectivity and a per-matrix eigensolve."""
+    pairs = _mask_pairs(n, directed)
+    rows = []
+    for mask in range(1 << len(pairs)):
+        chosen = [pair for bit, pair in enumerate(pairs) if (mask >> bit) & 1]
+        obj = Digraph(n, chosen) if directed else Graph(n, chosen)
+        dist = np.array(floyd_warshall(obj))
+        if np.isinf(dist).any():
+            continue
+        adj = np.zeros((n, n))
+        for i, j in chosen:
+            adj[i, j] = 1
+            if not directed:
+                adj[j, i] = 1
+        objectives = {
+            "rho": adj,
+            "q": adj + np.diag(adj.sum(axis=1)),
+            "rhoD": dist,
+            "qD": dist + np.diag(dist.sum(axis=1)),
+        }
+        values = {name: _top_eigenvalue(m, directed) for name, m in objectives.items()}
+        rows.append((mask, vertex_connectivity_maxflow(obj), values))
+    return rows
+
+
+def labeled_scan(table, k, objective: str, mode: str, tol: float = 1e-9):
+    """(optimum, optimizer masks, class size) over a ``labeled_scan_table``;
+    k=None keeps every (strongly) connected member."""
+    members = [(mask, values[objective]) for mask, kappa, values in table if k in (None, kappa)]
+    pick = max if mode == "max" else min
+    best = pick(value for _, value in members)
+    optimizers = tuple(mask for mask, value in members if abs(value - best) <= tol)
+    return best, optimizers, len(members)
+
+
+def relabeled_masks(n: int, mask: int, directed: bool) -> set[int]:
+    """Every relabeling of an adjacency bitmask, one permutation at a time."""
+    pairs = _mask_pairs(n, directed)
+    index = {pair: bit for bit, pair in enumerate(pairs)}
+    chosen = [pair for bit, pair in enumerate(pairs) if (mask >> bit) & 1]
+    images = set()
+    for perm in permutations(range(n)):
+        image = 0
+        for i, j in chosen:
+            a, b = perm[i], perm[j]
+            image |= 1 << index[(a, b) if directed else (min(a, b), max(a, b))]
+        images.add(image)
+    return images

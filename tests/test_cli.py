@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from eqspec.cli import main
 from eqspec.families import Petersen, build
 from eqspec.graphs import format_graph_file
+from eqspec.theorems import claim_ids
 
 
 @pytest.fixture()
@@ -201,6 +202,40 @@ def test_bad_probe_parameters_are_usage_errors(run, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "lem3.4.random", "--params", "trials=abc"], "trials must be an integer"),
+        (["verify", "thm4.3.i", "--params", "n=abc,k=1"], "n must be an integer"),
+        (["verify", "ex3.5.1", "--params", "parts=2"], "parts must be a colon-separated"),
+        (["verify", "ex3.5.1", "--params", "parts=2:x"], "parts must be a colon-separated"),
+        (["verify", "cor2.5", "--params", "n=4,shards=x"], "shards must be an integer"),
+    ],
+)
+def test_bad_claim_parameters_are_usage_errors(run, argv, message):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_analyze_directory_is_input_error(run, tmp_path):
+    code, out, err = run(["analyze", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_analyze_non_utf8_file_is_input_error(run, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("graph 2\n0 1 # caf\u00e9\n".encode("latin-1"))
+    code, out, err = run(["analyze", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "codec" in err
+
+
 def _run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -243,6 +278,35 @@ def test_block_spectrum_random_fuzz_keeps_exit_contract(params):
     params.setdefault("trials", 2)
     text = ",".join(f"{key}={value}" for key, value in params.items())
     code, err = _run_quietly(["verify", "lem3.4.random", "--params", text])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+# Parameter text for any claim: mostly the catalogue's own names with small
+# values (verify has no work budget yet, so large orders would only be slow),
+# malformed tuples and junk values, plus free text.
+_PARAM_NAMES = st.sampled_from(
+    ("n", "k", "p", "parts", "sizes", "shards", "trials", "seed", "t_max", "n_max", "x")
+)
+_PARAM_VALUES = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.lists(st.integers(-1, 5), min_size=1, max_size=4).map(
+        lambda items: ":".join(map(str, items))
+    ),
+    st.text(alphabet="abx:=-. ", max_size=4),
+)
+_PARAM_TEXT = st.one_of(
+    st.lists(
+        st.tuples(_PARAM_NAMES, _PARAM_VALUES).map("=".join), max_size=4
+    ).map(",".join),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(claim=st.sampled_from(claim_ids()), text=_PARAM_TEXT)
+def test_verify_params_fuzz_keeps_exit_contract(claim, text):
+    code, err = _run_quietly(["verify", claim, "--params", text])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
 

@@ -203,6 +203,17 @@ def test_numeric_branches_match_blockwise_oracle_on_real_and_complex_input():
             assert is_equitable(m, part) == is_equitable_blockwise(m, part)
 
 
+@pytest.mark.parametrize("imag", [5.0, -5.0, 1e-9])
+def test_numeric_equitable_sees_imaginary_spread(imag):
+    # row sums 1 + imag*j and 1: equal real parts, so a lexicographic
+    # complex comparison would call the spread zero
+    m = np.array([[0, 1 + imag * 1j], [1, 0]])
+    part = Partition([[0, 1]])
+    assert is_equitable(m, part) is False
+    assert is_equitable_blockwise(m, part) is False
+    assert is_equitable(m.real.astype(complex), part) is True
+
+
 @pytest.mark.parametrize("tol", [1e-12, 1e-6])
 @pytest.mark.parametrize("factor, expected", [(0.9, True), (1.1, False)])
 def test_numeric_equitable_spread_around_tolerance(tol, factor, expected):

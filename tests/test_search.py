@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from oracles import labeled_scan, labeled_scan_table, relabeled_masks
 
 from eqspec.errors import BudgetExceeded, CompleteInput, NotStronglyConnected
 from eqspec.families import (
@@ -24,7 +26,9 @@ from eqspec.graphs import (
 from eqspec.linalg import spectral_radius
 from eqspec.quotient import BlockSpec, realize_block_matrix
 from eqspec.search import (
+    OBJECTIVES,
     ScanJob,
+    _orbits,
     conjecture_search,
     dominate_with_extremal,
     enumerate_class,
@@ -70,6 +74,8 @@ def test_enumerate_budget():
         next(enumerate_class(8, False, 1))
     with pytest.raises(BudgetExceeded):
         next(enumerate_class(6, True, 1))
+    with pytest.raises(BudgetExceeded):
+        labeled_isomorph_masks(Graph(8, [(0, 1)]))
 
 
 def test_batched_kappa_matches_per_graph_computation():
@@ -106,6 +112,52 @@ def test_mask_round_trip():
         for _ in range(20):
             mask = rng.randrange(1 << len(pairs))
             assert mask_from_graph(graph_from_mask(n, mask, directed)) == mask
+
+
+# ---------------------------------------------------------------------------
+# isomorphism orbits
+
+# OEIS A000088 (graphs) and A000273 (digraphs) for n = 2, 3, ...
+_UNLABELED_COUNTS = {False: (2, 4, 11, 34, 156, 1044), True: (3, 16, 218, 9608)}
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_orbit_counts_match_oeis(directed):
+    for n, expected in enumerate(_UNLABELED_COUNTS[directed], start=2):
+        reps, sizes = _orbits(n, directed)
+        assert len(reps) == expected
+        assert int(sizes.sum()) == 1 << len(pair_table(n, directed))
+        assert all(math.factorial(n) % int(size) == 0 for size in sizes)
+
+
+@pytest.mark.parametrize("n, directed", [(5, False), (3, True)])
+def test_orbits_partition_masks_into_isomorphism_classes(n, directed):
+    reps, sizes = _orbits(n, directed)
+    covered = set()
+    for rep, size in zip(reps.tolist(), sizes.tolist()):
+        orbit = relabeled_masks(n, rep, directed)
+        assert min(orbit) == rep
+        assert len(orbit) == size
+        assert not covered & orbit
+        covered |= orbit
+    assert covered == set(range(1 << len(pair_table(n, directed))))
+
+
+@pytest.mark.parametrize(
+    "n, directed", [(n, False) for n in range(2, 6)] + [(n, True) for n in range(2, 5)]
+)
+def test_orbit_scan_matches_labeled_brute_force(n, directed):
+    table = labeled_scan_table(n, directed)
+    for k in (None, *range(1, n - 1)):
+        for objective in OBJECTIVES:
+            for mode in ("max", "min"):
+                value, optimizers, examined = labeled_scan(table, k, objective, mode)
+                cert = extremal_scan(
+                    ScanJob(n=n, k=k, directed=directed, objective=objective, mode=mode)
+                )
+                assert cert.optimizers == optimizers
+                assert cert.examined == examined
+                assert cert.value == pytest.approx(value, rel=0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
