@@ -1,7 +1,7 @@
 """Exact and numeric dense linear algebra.
 
 Exact side: arbitrary-precision integer/rational matrices, monic
-characteristic polynomials (Faddeev-LeVerrier, exact divisions), polynomial
+characteristic polynomials (Berkowitz, division-free), polynomial
 arithmetic with gcd-based square-free factorization.
 
 Numeric side: full spectra through LAPACK, Perron roots through power
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -316,34 +317,27 @@ def squarefree_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
 def char_poly(m: ExactMatrix) -> Polynomial:
     """Exact monic characteristic polynomial det(xI - M).
 
-    Faddeev-LeVerrier recurrence; every division is exact (integer inputs
-    stay integer, rational inputs stay rational). Arbitrary-precision
-    coefficients: no overflow at any order.
+    Berkowitz's division-free recurrence: the polynomial of each leading
+    (r+1)x(r+1) block is a Toeplitz convolution of the leading r x r block's
+    polynomial with [1, -a_rr, -R.C, -R.A.C, ..., -R.A^(r-1).C], where R and
+    C border the block and every product is a matrix-vector product.
+    Integer inputs stay integer, rational inputs stay rational, and the
+    coefficients never overflow.
     """
-    n = m.n
-    a = [list(row) for row in m.rows]
-    all_int = all(isinstance(x, int) for row in a for x in row)
-    work = [row[:] for row in a]
-    coeffs: list[Scalar] = [1]
-    c = -sum(work[i][i] for i in range(n))
-    coeffs.append(c)
-    for k in range(2, n + 1):
-        for i in range(n):
-            work[i][i] += c
-        cols = list(zip(*work))
-        work = [
-            [sum(x * y for x, y in zip(row, col)) for col in cols] for row in a
+    a = m.rows
+    coeffs: list[Scalar] = [1, -a[0][0]]  # highest degree first
+    for r in range(1, m.n):
+        block = [row[:r] for row in a[:r]]
+        border_row = a[r][:r]
+        col = [row[r] for row in a[:r]]
+        toeplitz = [1, -a[r][r], -sum(map(operator.mul, border_row, col))]
+        for _ in range(r - 1):
+            col = [sum(map(operator.mul, row, col)) for row in block]
+            toeplitz.append(-sum(map(operator.mul, border_row, col)))
+        coeffs = [
+            sum(map(operator.mul, toeplitz[i::-1], coeffs)) for i in range(r + 2)
         ]
-        tr = sum(work[i][i] for i in range(n))
-        if all_int:
-            q, r = divmod(-tr, k)
-            if r:  # pragma: no cover - exactness is a theorem for integer input
-                raise ArithmeticError("inexact division in Faddeev-LeVerrier")
-            c = q
-        else:
-            c = _normalize_scalar(Fraction(-tr) / k)
-        coeffs.append(c)
-    return Polynomial(tuple(reversed(coeffs)))
+    return Polynomial(reversed(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +447,28 @@ class Spectrum:
 
     def contains(self, other: "Spectrum", tol: float = 1e-7) -> bool:
         """One-sided multiset inclusion with multiplicity accounting."""
-        mine = self.values()
-        used = [False] * len(mine)
+        return self.containment_deviation(other) < tol
+
+    def containment_deviation(self, other: "Spectrum") -> float:
+        """Greedy matching of other into self, each target taking the first
+        strictly nearest unused value; the worst match distance (inf when a
+        target finds no unused value)."""
+        pool = self.values()
+        used = [False] * len(pool)
+        worst = 0.0
         for target in other.values():
-            best = None
-            best_dist = tol
-            for idx, v in enumerate(mine):
+            best, best_dist = None, math.inf
+            for idx, v in enumerate(pool):
                 if used[idx]:
                     continue
                 d = abs(v - target)
                 if d < best_dist:
                     best, best_dist = idx, d
             if best is None:
-                return False
+                return math.inf
             used[best] = True
-        return True
+            worst = max(worst, best_dist)
+        return worst
 
     def to_json(self) -> list[dict]:
         return [

@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import InvalidParameters, UnknownClaim
+from .errors import BudgetExceeded, InvalidParameters, UnknownClaim
 from .families import (
     CliqueStar,
     CompleteMultipartite,
@@ -37,6 +37,10 @@ from .linalg import (
 from .quotient import BlockSpec, Partition, block_spectrum, quotient_matrix
 
 _NUMERIC_TOL = 1e-7
+
+# Largest matrix order a claim may build; each exact characteristic
+# polynomial costs about order^4 / 4 multiplications.
+CLAIM_ORDER_BUDGET = 32
 
 
 @dataclass(frozen=True)
@@ -379,24 +383,11 @@ def knkp_graph_dq_display_cubic(p: int, q: int, k: int) -> Polynomial:
 # claim catalogue
 
 
-def _containment_deviation(big: Spectrum, small: Spectrum) -> float:
-    """Greedy nearest-unused matching of small into big; max match distance."""
-    pool = big.values()
-    used = [False] * len(pool)
-    worst = 0.0
-    for target in small.values():
-        best_idx, best_dist = None, math.inf
-        for idx, value in enumerate(pool):
-            if used[idx]:
-                continue
-            d = abs(value - target)
-            if d < best_dist:
-                best_idx, best_dist = idx, d
-        if best_idx is None:
-            return math.inf
-        used[best_idx] = True
-        worst = max(worst, best_dist)
-    return worst
+def _check_order(order: int) -> None:
+    if order > CLAIM_ORDER_BUDGET:
+        raise BudgetExceeded(
+            f"claim matrices are capped at order {CLAIM_ORDER_BUDGET}, got {order}"
+        )
 
 
 def _int_param(params: dict, name: str, default=None, as_tuple: bool = False):
@@ -433,6 +424,7 @@ _DIGRAPH_SUBCLAIMS = {
 
 def _handle_digraph_theorem(sub: str, params: dict) -> VerificationReport:
     n, k = _int_param(params, "n"), _int_param(params, "k")
+    _check_order(n)
     kind, mode = _DIGRAPH_SUBCLAIMS[sub]
     bound = digraph_bound(n, k, kind)
     dev = 0.0
@@ -444,7 +436,7 @@ def _handle_digraph_theorem(sub: str, params: dict) -> VerificationReport:
         matrix = exact.to_numpy()
         full = eigenvalues(matrix)
         closed = digraph_quotient_eigs(n, k, p, kind)
-        dev = max(dev, _containment_deviation(full, closed))
+        dev = max(dev, full.containment_deviation(closed))
         spec = adjacency_blockspec(fam, kind)
         dev = max(dev, block_spectrum(spec).deviation(full))
         # exact companion to the numeric comparison above
@@ -475,6 +467,7 @@ def _handle_digraph_theorem(sub: str, params: dict) -> VerificationReport:
 
 def _handle_graph_theorem(sub: str, params: dict) -> VerificationReport:
     n, k = _int_param(params, "n"), _int_param(params, "k")
+    _check_order(n)
     kind, mode = _DIGRAPH_SUBCLAIMS[sub]
     bound = graph_bound(n, k, kind)
     dev = 0.0
@@ -491,7 +484,7 @@ def _handle_graph_theorem(sub: str, params: dict) -> VerificationReport:
         identities_ok &= _blockspec_charpoly(spec) == char_poly(exact)
         if kind is MatrixKind.SIGNLESS_LAPLACIAN:
             closed = graph_q_quotient_eigs(n, k, p)
-            dev = max(dev, _containment_deviation(full, closed))
+            dev = max(dev, full.containment_deviation(closed))
             values[p] = closed.max_real()
         else:
             values[p] = largest_real_root(cubic)
@@ -532,6 +525,7 @@ def _handle_graph_theorem(sub: str, params: dict) -> VerificationReport:
 
 def _handle_laplacian_spectra(claim_id, directed, sub, params) -> VerificationReport:
     n, k, p = (_int_param(params, name) for name in ("n", "k", "p"))
+    _check_order(n)
     kind = MatrixKind.LAPLACIAN if sub == "i" else MatrixKind.DISTANCE_LAPLACIAN
     if directed:
         fam = KnkpDigraph(n, k, p)
@@ -628,16 +622,20 @@ def _handle_factored_charpoly(family: str, item: str, params: dict) -> Verificat
     kind = _ITEM_KINDS[item]
     if family == "ex3.5":
         parts = _int_param(params, "parts", as_tuple=True)
+        fam = CompleteMultipartite(parts)
+        _check_order(sum(parts))
         factored = multipartite_charpoly(parts, kind)
         display = multipartite_display_charpoly(parts, kind)
-        matrix = build_matrix(build(CompleteMultipartite(parts)), kind)
+        matrix = build_matrix(build(fam), kind)
         key = {"parts": list(parts)}
         note = ""
     else:
         sizes = _int_param(params, "sizes", as_tuple=True)
+        fam = CliqueStar(sizes)
+        _check_order(fam.n)
         factored = cliquestar_charpoly(sizes, kind)
         display = cliquestar_display_charpoly(sizes, kind)
-        matrix = build_matrix(build(CliqueStar(sizes)), kind)
+        matrix = build_matrix(build(fam), kind)
         key = {"sizes": list(sizes)}
         note = _CLIQUESTAR_NOTES.get(item, "")
     direct = char_poly(matrix)
@@ -738,6 +736,7 @@ class ClaimEntry:
     required: tuple[str, ...]
     handler: object
     note: str = ""
+    optional: tuple[str, ...] = ()
 
 
 def _catalogue() -> dict[str, ClaimEntry]:
@@ -803,16 +802,19 @@ def _catalogue() -> dict[str, ClaimEntry]:
     claims["cor2.5"] = ClaimEntry(
         description="complete-digraph extremes of all four objectives, full enumeration",
         required=("n",),
+        optional=("shards",),
         handler=lambda params: _handle_corollary_bounds("cor2.5", params),
     )
     claims["cor2.6"] = ClaimEntry(
         description="directed-cycle extremes of all four objectives, full enumeration",
         required=("n",),
+        optional=("shards",),
         handler=lambda params: _handle_corollary_bounds("cor2.6", params),
     )
     claims["lem3.4.random"] = ClaimEntry(
         description="randomized block-spectrum identity over structured matrices",
         required=(),
+        optional=("trials", "seed", "t_max", "n_max"),
         handler=lambda params: _handle_block_spectrum_random(params),
     )
     return claims
@@ -837,6 +839,11 @@ def verify_claim(claim_id: str, params: dict | None = None) -> VerificationRepor
     if missing:
         raise InvalidParameters(
             f"claim {claim_id} needs parameters: {', '.join(missing)}"
+        )
+    unknown = sorted(set(params) - set(entry.required) - set(entry.optional))
+    if unknown:
+        raise InvalidParameters(
+            f"claim {claim_id} takes no parameters named: {', '.join(unknown)}"
         )
     report = entry.handler(params)
     if entry.note and not report.note:

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used by the tests.
 
 Deliberately separate algorithms from the package's implementations:
-Bareiss elimination instead of Faddeev-LeVerrier, Lagrange interpolation
-instead of recurrences, Floyd-Warshall instead of BFS, max-flow Menger
+Bareiss elimination and Lagrange interpolation instead of Berkowitz's
+recurrence, Floyd-Warshall instead of BFS, max-flow Menger
 instead of cut enumeration, bisection instead of closed forms, per-block
 loops instead of cell-sum reductions, one labeled graph and one permutation
 at a time instead of isomorphism orbits and relabeling tables.
@@ -311,3 +311,19 @@ def relabeled_masks(n: int, mask: int, directed: bool) -> set[int]:
             image |= 1 << index[(a, b) if directed else (min(a, b), max(a, b))]
         images.add(image)
     return images
+
+
+def contains_within_tol(pool, targets, tol) -> bool:
+    """Multiset inclusion of targets in pool: each target, in order, takes
+    the first strictly nearest unused pool value closer than tol, and the
+    inclusion fails as soon as a target finds none."""
+    used = [False] * len(pool)
+    for target in targets:
+        best, best_dist = None, tol
+        for idx, value in enumerate(pool):
+            if not used[idx] and abs(value - target) < best_dist:
+                best, best_dist = idx, abs(value - target)
+        if best is None:
+            return False
+        used[best] = True
+    return True

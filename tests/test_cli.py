@@ -210,6 +210,9 @@ def test_bad_probe_parameters_are_usage_errors(run, argv, message):
         (["verify", "ex3.5.1", "--params", "parts=2"], "parts must be a colon-separated"),
         (["verify", "ex3.5.1", "--params", "parts=2:x"], "parts must be a colon-separated"),
         (["verify", "cor2.5", "--params", "n=4,shards=x"], "shards must be an integer"),
+        (["verify", "ex3.3", "--params", "bogus=3"], "no parameters named: bogus"),
+        (["verify", "lem3.4.random", "--params", "trails=5"], "no parameters named: trails"),
+        (["verify", "thm4.3.i", "--params", "n=400,k=1"], "capped at order 32, got 400"),
     ],
 )
 def test_bad_claim_parameters_are_usage_errors(run, argv, message):
@@ -283,8 +286,8 @@ def test_block_spectrum_random_fuzz_keeps_exit_contract(params):
 
 
 # Parameter text for any claim: mostly the catalogue's own names with small
-# values (verify has no work budget yet, so large orders would only be slow),
-# malformed tuples and junk values, plus free text.
+# values (orders up to the claim budget and large trial counts would only be
+# slow), malformed tuples and junk values, plus free text.
 _PARAM_NAMES = st.sampled_from(
     ("n", "k", "p", "parts", "sizes", "shards", "trials", "seed", "t_max", "n_max", "x")
 )

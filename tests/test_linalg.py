@@ -20,10 +20,11 @@ from eqspec.families import (
     CompleteMultipartite,
     DirectedCycle,
     KnkpDigraph,
+    KnkpGraph,
     Petersen,
     build,
 )
-from eqspec.graphs import build_matrix
+from eqspec.graphs import MatrixKind, build_matrix
 from eqspec.linalg import (
     ExactMatrix,
     MatrixOrder,
@@ -42,6 +43,7 @@ from eqspec.linalg import (
 from oracles import (
     bisection_largest_root,
     charpoly_by_interpolation,
+    contains_within_tol,
     det_xi_minus_m,
 )
 
@@ -70,6 +72,35 @@ def test_char_poly_against_interpolation_oracle():
     for _ in range(25):
         m = _random_exact(rng, rng.randint(1, 5))
         assert char_poly(m) == charpoly_by_interpolation(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 9, 12])
+def test_char_poly_integer_matrices_against_interpolation_oracle(n):
+    rng = random.Random(100 + n)
+    for _ in range(3):
+        m = _random_exact(rng, n, lo=-9, hi=9)
+        assert char_poly(m) == charpoly_by_interpolation(m)
+
+
+def test_char_poly_rational_matrices_against_interpolation_oracle():
+    rng = random.Random(15)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        m = ExactMatrix(
+            [[Fraction(rng.randint(-9, 9), rng.randint(2, 7)) for _ in range(n)]
+             for _ in range(n)]
+        )
+        poly = char_poly(m)
+        assert poly == charpoly_by_interpolation(m)
+        assert poly.is_monic and poly.degree == n
+
+
+@pytest.mark.parametrize("family", [KnkpGraph, KnkpDigraph])
+@pytest.mark.parametrize("kind", list(MatrixKind))
+def test_char_poly_knkp_families_against_interpolation_oracle(family, kind):
+    for k, p in ((1, 1), (3, 2), (5, 3)):
+        m = build_matrix(build(family(9, k, p)), kind)
+        assert char_poly(m) == charpoly_by_interpolation(m), (k, p)
 
 
 def test_char_poly_evaluation_matches_exact_determinant():
@@ -346,3 +377,39 @@ def test_spectrum_containment_with_multiplicity():
     assert big.contains(Spectrum.from_pairs([(1, 5)]))
     assert not big.contains(Spectrum.from_pairs([(1, 6)]))
     assert not big.contains(Spectrum.from_pairs([(2, 1)]))
+
+
+def test_spectrum_containment_deviation_examples():
+    big = Spectrum.from_pairs([(3, 1), (1, 2)])
+    assert big.containment_deviation(Spectrum.from_pairs([(1, 2)])) == 0.0
+    assert big.containment_deviation(Spectrum.from_pairs([(2, 1)])) == 1.0
+    # the second 1.5 takes the remaining 1 after the first takes the 1 at 0.5
+    assert big.containment_deviation(Spectrum.from_pairs([(1.5, 2)])) == 0.5
+    assert big.containment_deviation(Spectrum.from_pairs([(1, 4)])) == math.inf
+    assert big.containment_deviation(Spectrum.from_pairs([])) == 0.0
+
+
+def _random_pool(rng, size):
+    # small integer grids on both axes make equidistant (tied) candidates common
+    return [complex(rng.randint(-3, 3), rng.choice((0, 0, 1, -1))) for _ in range(size)]
+
+
+def test_spectrum_contains_agrees_with_tol_bounded_greedy_matcher():
+    rng = random.Random(18)
+    for _ in range(400):
+        pool = _random_pool(rng, rng.randint(0, 7))
+        targets = _random_pool(rng, rng.randint(0, 8))  # may outnumber the pool
+        if rng.random() < 0.5:
+            targets = [t + complex(rng.uniform(-0.3, 0.3), 0) for t in targets]
+        big = Spectrum.from_pairs((v, 1) for v in pool)
+        small = Spectrum.from_pairs((v, 1) for v in targets)
+        dev = big.containment_deviation(small)
+        if len(targets) > len(pool):
+            assert dev == math.inf
+        tols = (1e-7, 0.25, 0.5, 1.0, 1.5, 2.0, 10.0, dev, math.nextafter(dev, math.inf))
+        # a tolerance of 0 admits no match at all; only the empty target
+        # multiset then differs (the oracle accepts it, 0.0 < 0 does not)
+        for tol in (t for t in tols if t > 0):
+            expected = contains_within_tol(big.values(), small.values(), tol)
+            assert big.contains(small, tol) == expected
+            assert (dev < tol) == expected

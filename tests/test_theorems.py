@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from eqspec.errors import InvalidParameters, UnknownClaim
+from eqspec import theorems
+from eqspec.errors import BudgetExceeded, InvalidParameters, UnknownClaim
 from eqspec.families import (
     CliqueStar,
     CompleteMultipartite,
@@ -298,3 +299,44 @@ def test_verify_laplacian_spectra_claims():
     )
     assert values == [0, 2, 5, 5, 6, 6]
     assert verify_claim("prop5.2.ii", {"n": 6, "k": 2, "p": 1}).passed
+
+
+@pytest.mark.parametrize(
+    "claim_id, params",
+    [
+        ("thm4.3.i", {"n": 5, "k": 1, "p": 1}),
+        ("cor2.5", {"n": 3, "seed": 1}),
+    ],
+)
+def test_verify_rejects_unknown_parameter_names(claim_id, params):
+    with pytest.raises(InvalidParameters, match="no parameters named"):
+        verify_claim(claim_id, params)
+
+
+def test_verify_accepts_optional_parameter_names():
+    report = verify_claim(
+        "lem3.4.random", {"trials": 2, "seed": 1, "t_max": 2, "n_max": 4}
+    )
+    assert report.params == {"trials": 2, "seed": 1, "t_max": 2, "n_max": 4}
+    assert verify_claim("cor2.6", {"n": 3, "shards": 2}).passed
+
+
+@pytest.mark.parametrize(
+    "claim_id, admitted, refused",
+    [
+        ("thm4.3.i", {"n": 5, "k": 1}, {"n": 6, "k": 1}),
+        ("thm5.2.iv", {"n": 5, "k": 2}, {"n": 6, "k": 2}),
+        ("prop4.4.i", {"n": 5, "k": 1, "p": 2}, {"n": 6, "k": 1, "p": 2}),
+        ("prop5.2.ii", {"n": 5, "k": 1, "p": 2}, {"n": 6, "k": 1, "p": 2}),
+        ("ex3.5.2", {"parts": (2, 3)}, {"parts": (3, 3)}),
+        # a clique star on sizes (s_i) has order 1 + sum(s_i - 1)
+        ("ex3.6.4", {"sizes": (3, 3)}, {"sizes": (3, 4)}),
+    ],
+)
+def test_claim_order_budget_is_the_built_matrix_order(
+    monkeypatch, claim_id, admitted, refused
+):
+    monkeypatch.setattr(theorems, "CLAIM_ORDER_BUDGET", 5)
+    assert verify_claim(claim_id, admitted).passed
+    with pytest.raises(BudgetExceeded, match="capped at order 5, got 6"):
+        verify_claim(claim_id, refused)
