@@ -479,34 +479,62 @@ class Spectrum:
         return iter(self.pairs)
 
 
+def _eigvals(a: np.ndarray, general: bool = False) -> np.ndarray:
+    """Eigenvalues of a square matrix, or of each matrix of a (k, n, n) stack.
+
+    Real symmetric input goes to the symmetric solver (real output) unless
+    ``general`` is set; anything else to the general one, which may yield
+    complex values. A stack goes to the symmetric solver only when every
+    matrix in it is symmetric.
+    """
+    try:
+        if not general and a.dtype.kind != "c" and np.array_equal(a, np.swapaxes(a, -1, -2)):
+            return np.linalg.eigvalsh(a)
+        return np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
+        raise ConvergenceFailure(str(exc)) from exc
+
+
+def eigvals_each(mats, general: bool = False) -> list[np.ndarray]:
+    """The eigenvalues of every square matrix in ``mats``, with one solver
+    call per group of matrices that share an order and symmetry.
+
+    Real symmetric matrices go to the symmetric solver unless ``general``
+    is set, the rest to the general one. Each matrix gets the values a call
+    on it alone gives, bit for bit; a real value may come back as complex
+    with a zero imaginary part, when another matrix of its group has
+    complex eigenvalues.
+    """
+    by_order: dict[int, list[int]] = {}
+    for i, m in enumerate(mats):
+        by_order.setdefault(m.shape[0], []).append(i)
+    out: list[np.ndarray] = [None] * len(mats)
+    for members in by_order.values():
+        members = np.array(members)
+        stack = np.stack([mats[i] for i in members])
+        if general or stack.dtype.kind == "c":
+            symmetric = np.zeros(len(members), dtype=bool)
+        else:
+            symmetric = (stack == np.swapaxes(stack, 1, 2)).all(axis=(1, 2))
+        for sym, group in ((True, symmetric), (False, ~symmetric)):
+            if group.any():
+                for i, v in zip(members[group], _eigvals(stack[group], not sym)):
+                    out[i] = v
+    return out
+
+
 def eigenvalues(m, cluster_tol: float = 1e-6) -> Spectrum:
     """All eigenvalues of a dense matrix as a Spectrum.
 
     Symmetric input is routed to the symmetric solver (real output);
     general input may yield complex values.
     """
-    a = as_numeric(m)
-    try:
-        if a.dtype.kind != "c" and np.array_equal(a, a.T):
-            vals = np.linalg.eigvalsh(a)
-        else:
-            vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
-        raise ConvergenceFailure(str(exc)) from exc
-    return Spectrum.from_values(vals, cluster_tol)
+    return Spectrum.from_values(_eigvals(as_numeric(m)), cluster_tol)
 
 
 def spectral_radius(m) -> float:
     """Largest eigenvalue modulus."""
-    a = as_numeric(m)
-    try:
-        if a.dtype.kind != "c" and np.array_equal(a, a.T):
-            vals = np.linalg.eigvalsh(a)
-        else:
-            vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(str(exc)) from exc
-    return float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(_eigvals(as_numeric(m)))))
 
 
 def _support_strongly_connected(a: np.ndarray) -> bool:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidParameters,
     NotEquitable,
     NotNonnegative,
     NotSymmetric,
@@ -26,9 +27,11 @@ from .linalg import (
     ExactMatrix,
     Scalar,
     Spectrum,
+    _eigvals,
     _normalize_scalar,
     as_numeric,
     eigenvalues,
+    eigvals_each,
     spectral_radius,
 )
 
@@ -41,12 +44,12 @@ class Partition:
     def __init__(self, cells):
         cells = tuple(tuple(sorted(int(i) for i in cell)) for cell in cells)
         if not cells or any(not cell for cell in cells):
-            raise ValueError("cells must be nonempty")
+            raise InvalidParameters("cells must be nonempty")
         flat = [i for cell in cells for i in cell]
         if len(set(flat)) != len(flat):
-            raise ValueError("cells must be disjoint")
+            raise InvalidParameters("cells must be disjoint")
         if sorted(flat) != list(range(len(flat))):
-            raise ValueError("cells must cover 0..n-1 exactly")
+            raise InvalidParameters("cells must cover 0..n-1 exactly")
         self.cells = cells
 
     @classmethod
@@ -101,7 +104,7 @@ def parse_partition(text: str) -> Partition:
             raise ParseError(f"non-integer index in partition {text!r}") from None
     try:
         return Partition(cells)
-    except ValueError as exc:
+    except InvalidParameters as exc:
         raise ParseError(f"invalid partition {text!r}: {exc}") from None
 
 
@@ -201,13 +204,13 @@ class BlockSpec:
     def __post_init__(self):
         t = len(self.sizes)
         if t < 1:
-            raise ValueError("BlockSpec needs at least one block")
+            raise InvalidParameters("BlockSpec needs at least one block")
         if any(sz < 1 for sz in self.sizes):
-            raise ValueError("block sizes must be at least 1")
+            raise InvalidParameters("block sizes must be at least 1")
         if len(self.l) != t or len(self.p) != t or len(self.s) != t:
-            raise ValueError("coefficient lists must match the block count")
+            raise InvalidParameters("coefficient lists must match the block count")
         if any(len(row) != t for row in self.s):
-            raise ValueError("s must be a t x t table")
+            raise InvalidParameters("s must be a t x t table")
         object.__setattr__(self, "sizes", tuple(int(x) for x in self.sizes))
         object.__setattr__(self, "l", tuple(_normalize_scalar(x) for x in self.l))
         object.__setattr__(self, "p", tuple(_normalize_scalar(x) for x in self.p))
@@ -249,19 +252,7 @@ class BlockSpec:
         ``l_i + p_i`` is taken exactly before the conversion, so the array
         equals ``realize_block_matrix(self).to_numpy()`` bit for bit.
         """
-        t = self.t
-        table = np.array(
-            [
-                [float(self.l[i] if i == j else self.s[i][j]) for j in range(t)]
-                for i in range(t)
-            ]
-        )
-        sizes = np.array(self.sizes)
-        a = np.repeat(np.repeat(table, sizes, axis=0), sizes, axis=1)
-        np.fill_diagonal(
-            a, np.repeat([float(l + p) for l, p in zip(self.l, self.p)], sizes)
-        )
-        return a
+        return _realize_stack([self])[0][0]
 
     def to_json(self) -> dict:
         def enc(x):
@@ -285,6 +276,102 @@ class BlockSpec:
             p=tuple(dec(x) for x in payload["p"]),
             s=tuple(tuple(dec(x) for x in row) for row in payload["s"]),
         )
+
+
+def _realize_stack(specs) -> tuple[np.ndarray, np.ndarray]:
+    """Realize BlockSpecs of one order n together, as floats.
+
+    Returns the (k, n, n) stack of the realized matrices and the (k, n)
+    block index of every row. Each entry is ``float`` of the exact entry;
+    the diagonal sum ``l_i + p_i`` is taken exactly before the conversion.
+    """
+    # x.numerator / x.denominator is float(x) for an int or a Fraction
+    # (true division of ints rounds correctly), only faster; the diagonal
+    # takes the exact sum's numerator over its denominator the same way
+    width = max(spec.t for spec in specs)
+    tables, diagonals, labels = [], [], []
+    for spec in specs:
+        pad = [0.0] * (width - spec.t)
+        for i, row in enumerate(spec.s):
+            row = list(row)
+            row[i] = spec.l[i]
+            tables.append([x.numerator / x.denominator for x in row] + pad)
+        tables += [[0.0] * width] * (width - spec.t)
+        diagonals.append(
+            [
+                (l.numerator * p.denominator + p.numerator * l.denominator)
+                / (l.denominator * p.denominator)
+                for l, p in zip(spec.l, spec.p)
+            ]
+            + pad
+        )
+        labels.append([i for i, size in enumerate(spec.sizes) for _ in range(size)])
+    k = len(specs)
+    labels = np.array(labels, dtype=np.intp)
+    which = np.arange(k)[:, None]
+    a = np.array(tables).reshape(k, width, width)[
+        which[:, :, None], labels[:, :, None], labels[:, None, :]
+    ]
+    diagonal = np.arange(labels.shape[1])
+    a[:, diagonal, diagonal] = np.array(diagonals)[which, labels]
+    return a, labels
+
+
+def _equitable_quotients(a: np.ndarray, labels: np.ndarray):
+    """``is_equitable`` (at its default tol) and ``quotient_matrix`` for a
+    (k, n, n) stack of matrices whose blocks are runs of consecutive rows
+    (``labels`` as ``_realize_stack`` gives them), from one batched
+    cell-sum product.
+
+    Returns the equitable flags, a (k,) array, and the k quotient matrices.
+    The cell sums are summed in another order than ``_cell_row_sums``
+    does, so they are equal bit for bit where every partial sum is exact,
+    as for the probes' matrices with entries in quarters.
+    """
+    k, n = labels.shape
+    blocks = labels[:, -1] + 1
+    width = int(blocks.max())
+    indicator = np.zeros((k, n, width))
+    indicator[np.arange(k)[:, None], np.arange(n), labels] = 1.0
+    sums = (a @ indicator).reshape(k * n, width)
+    # one run of rows per block of every matrix, in order
+    first = np.ones(k * n, dtype=bool)
+    first[1:] = labels.ravel()[1:] != labels.ravel()[:-1]
+    first[::n] = True
+    starts = np.flatnonzero(first)
+    spread = np.maximum.reduceat(sums, starts) - np.minimum.reduceat(sums, starts)
+    block_starts = np.cumsum(blocks) - blocks
+    equitable = ~np.logical_or.reduceat((spread > 1e-12).any(axis=1), block_starts)
+    sizes = np.diff(np.append(starts, k * n))
+    rows = np.add.reduceat(sums, starts) / sizes[:, None]
+    quotients = [rows[s : s + t, :t] for s, t in zip(block_starts, blocks)]
+    return equitable, quotients
+
+
+def stacked_spectra(specs, general: bool = False):
+    """Eigenvalues of many BlockSpecs' realized matrices M and quotients B.
+
+    Returns the eigenvalues of every M, those of every B (the general
+    solver's when ``general`` is set), and two flags per spec: M has a
+    negative entry; the natural partition is equitable for M, by the
+    ``is_equitable`` rule. The Ms of one order are realized together and
+    their Bs read from one batched cell-sum product; the eigenvalues come
+    from one solver call per group of equal order and symmetry.
+    """
+    count = len(specs)
+    m_values, quotients = [None] * count, [None] * count
+    negative = np.zeros(count, dtype=bool)
+    equitable = np.zeros(count, dtype=bool)
+    by_order: dict[int, list[int]] = {}
+    for j, spec in enumerate(specs):
+        by_order.setdefault(spec.n, []).append(j)
+    for members in by_order.values():
+        a, labels = _realize_stack([specs[j] for j in members])
+        negative[members] = (a < 0).any(axis=(1, 2))
+        equitable[members], group_quotients = _equitable_quotients(a, labels)
+        for j, b, values in zip(members, group_quotients, eigvals_each(a)):
+            quotients[j], m_values[j] = b, values
+    return m_values, eigvals_each(quotients, general), negative, equitable
 
 
 def realize_block_matrix(spec: BlockSpec) -> ExactMatrix:
@@ -318,7 +405,12 @@ def block_spectrum(spec: BlockSpec) -> Spectrum:
     Quotient eigenvalues plus p_i repeated (n_i - 1) times; total
     multiplicity is the matrix order.
     """
-    pairs = list(eigenvalues(spec.quotient().to_numpy(), cluster_tol=0.0).pairs)
+    return _lifted_spectrum(spec, _eigvals(spec.quotient().to_numpy()))
+
+
+def _lifted_spectrum(spec: BlockSpec, quotient_values) -> Spectrum:
+    """``block_spectrum`` from the quotient's eigenvalues."""
+    pairs = list(Spectrum.from_values(quotient_values, cluster_tol=0.0).pairs)
     for p_i, sz in zip(spec.p, spec.sizes):
         if sz > 1:
             pairs.append((complex(float(Fraction(p_i)), 0.0), sz - 1))
@@ -418,6 +510,25 @@ def conjecture_probe(m, part: Partition, tol: float = 1e-7) -> ProbeReport:
     if not is_equitable(a, part):
         raise NotEquitable("conjecture_probe requires an equitable partition")
     b = quotient_matrix(a, part)
-    rho_b = float(np.max(np.linalg.eigvals(b).real))
+    rho_b = float(np.max(_eigvals(b, general=True).real))
     rho_m = spectral_radius(a)
     return ProbeReport(holds=abs(rho_b - rho_m) <= tol, rho_B=rho_b, rho_M=rho_m)
+
+
+def _first_failing_probe(specs, tol: float = 1e-7) -> tuple[int, ProbeReport] | None:
+    """The index of the first spec whose
+    ``conjecture_probe(spec.to_numpy(), spec.partition(), tol)`` does not
+    hold, with that report, or None when every probe holds. Raises what
+    that probe raises at the first spec it rejects.
+    """
+    m_values, b_values, negative, equitable = stacked_spectra(specs, general=True)
+    for j, (m_vals, b_vals) in enumerate(zip(m_values, b_values)):
+        if negative[j]:
+            raise NotNonnegative("conjecture_probe requires a nonnegative matrix")
+        if not equitable[j]:
+            raise NotEquitable("conjecture_probe requires an equitable partition")
+        rho_b = float(b_vals.real.max())
+        rho_m = float(np.abs(m_vals).max())
+        if not abs(rho_b - rho_m) <= tol:
+            return j, ProbeReport(holds=False, rho_B=rho_b, rho_M=rho_m)
+    return None

@@ -37,12 +37,15 @@ from .families import (
     format_family,
 )
 from .graphs import Digraph, Graph, is_strongly_connected, vertex_connectivity
-from .quotient import BlockSpec, ProbeReport, conjecture_probe
+from .quotient import BlockSpec, ProbeReport, _first_failing_probe
 
 UNDIRECTED_VERTEX_BUDGET = 7  # 2**21 labeled graphs
 DIRECTED_VERTEX_BUDGET = 5  # 2**20 labeled digraphs
 PROBE_ORDER_BUDGET = 500  # largest random probe matrix: 500 x 500 floats
 _WALK_WINDOW = 4096  # masks searched at a time for the next unseen orbit
+# matrix entries a probe campaign realizes and solves at a time (512 KiB of
+# floats); a larger matrix is solved alone
+_PROBE_WINDOW = 1 << 16
 
 OBJECTIVES = ("rho", "q", "rhoD", "qD")
 _TIE_TOL = 1e-9
@@ -679,6 +682,26 @@ def _random_blockspec(rng: random.Random, n_range, t_range, coeff) -> BlockSpec:
     )
 
 
+def _probe_chunks(trials: int, seed: int, n_range, t_range, coeff):
+    """The campaign's random specs in order, in lists whose realized
+    matrices hold at most ``_PROBE_WINDOW`` entries together; a spec whose
+    matrix alone holds more is a list of its own.
+
+    Trial i draws from its own substream ``random.Random(f"{seed}:{i}")``,
+    so the chunking moves no draw, and drawing one chunk past a failing
+    trial changes nothing before it.
+    """
+    chunk, entries = [], 0
+    for i in range(trials):
+        spec = _random_blockspec(random.Random(f"{seed}:{i}"), n_range, t_range, coeff)
+        if chunk and entries + spec.n**2 > _PROBE_WINDOW:
+            yield chunk
+            chunk, entries = [], 0
+        chunk.append(spec)
+        entries += spec.n**2
+    yield chunk
+
+
 def conjecture_search(
     trials: int,
     n_range: tuple[int, int] = (2, 20),
@@ -691,20 +714,27 @@ def conjecture_search(
 
     Deterministic given the seed (per-trial independent substreams). Stops
     at the first failing instance and returns it fully; None expected.
+    Each trial is ``conjecture_probe`` of one random ``BlockSpec``, with the
+    same checks, errors and verdict. The trials are drawn in chunks of at
+    most ``_PROBE_WINDOW`` matrix entries (or one larger matrix), and a
+    chunk's matrices and quotients are checked and solved together, one
+    eigensolver call per group of equal order (and, for M, symmetry). The
+    first failing trial is the one reported, whatever else its chunk holds.
     """
     _check_probe_parameters(trials, n_range, t_range)
 
     def coeff(rng):
         return Fraction(rng.randint(0, 40), 4)  # rationals in [0, 10]
 
-    for i in range(trials):
-        rng = random.Random(f"{seed}:{i}")
-        spec = _random_blockspec(rng, n_range, t_range, coeff)
-        report = conjecture_probe(spec.to_numpy(), spec.partition(), tol=tol)
-        if not report.holds:
+    done = 0
+    for chunk in _probe_chunks(trials, seed, n_range, t_range, coeff):
+        failure = _first_failing_probe(chunk, tol)
+        if failure is not None:
+            j, report = failure
             return ConjectureSearchResult(
-                trials=i + 1, seed=seed, counterexample=spec, report=report
+                trials=done + j + 1, seed=seed, counterexample=chunk[j], report=report
             )
+        done += len(chunk)
     return ConjectureSearchResult(
         trials=trials, seed=seed, counterexample=None, report=None
     )

@@ -34,7 +34,14 @@ from .linalg import (
     largest_real_root,
     spectral_radius,
 )
-from .quotient import BlockSpec, Partition, block_spectrum, quotient_matrix
+from .quotient import (
+    BlockSpec,
+    Partition,
+    _lifted_spectrum,
+    block_spectrum,
+    quotient_matrix,
+    stacked_spectra,
+)
 
 _NUMERIC_TOL = 1e-7
 
@@ -701,9 +708,7 @@ def _handle_corollary_bounds(claim_id: str, params: dict) -> VerificationReport:
 
 
 def _handle_block_spectrum_random(params: dict) -> VerificationReport:
-    import random
-
-    from .search import _check_probe_parameters, _random_blockspec
+    from .search import _check_probe_parameters, _probe_chunks
 
     trials = _int_param(params, "trials", 1000)
     seed = _int_param(params, "seed", 0)
@@ -716,11 +721,11 @@ def _handle_block_spectrum_random(params: dict) -> VerificationReport:
         return rng.randint(-5, 5)
 
     dev = 0.0
-    for i in range(trials):
-        rng = random.Random(f"{seed}:{i}")
-        spec = _random_blockspec(rng, n_range, t_range, coeff)
-        numeric = eigenvalues(spec.to_numpy(), cluster_tol=0.0)
-        dev = max(dev, block_spectrum(spec).deviation(numeric))
+    for chunk in _probe_chunks(trials, seed, n_range, t_range, coeff):
+        m_values, b_values, _, _ = stacked_spectra(chunk)
+        for spec, m_vals, b_vals in zip(chunk, m_values, b_values):
+            numeric = Spectrum.from_values(m_vals, cluster_tol=0.0)
+            dev = max(dev, _lifted_spectrum(spec, b_vals).deviation(numeric))
     return VerificationReport(
         claim_id="lem3.4.random",
         params={"trials": trials, "seed": seed, "t_max": t_max, "n_max": n_max},

@@ -5,11 +5,13 @@ Bareiss elimination and Lagrange interpolation instead of Berkowitz's
 recurrence, Floyd-Warshall instead of BFS, max-flow Menger
 instead of cut enumeration, bisection instead of closed forms, per-block
 loops instead of cell-sum reductions, one labeled graph and one permutation
-at a time instead of isomorphism orbits and relabeling tables.
+at a time instead of isomorphism orbits and relabeling tables, one probe
+trial at a time instead of chunks solved by matrix shape.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from fractions import Fraction
 from itertools import permutations
@@ -17,7 +19,9 @@ from itertools import permutations
 import numpy as np
 
 from eqspec.graphs import Digraph, Graph
-from eqspec.linalg import ExactMatrix, Polynomial
+from eqspec.linalg import ExactMatrix, Polynomial, eigenvalues
+from eqspec.quotient import block_spectrum, conjecture_probe
+from eqspec.search import ConjectureSearchResult, _random_blockspec
 
 
 def bareiss_det(rows) -> Fraction:
@@ -246,6 +250,59 @@ def is_equitable_blockwise(a: np.ndarray, part, tol: float = 1e-12) -> bool:
                 if np.max(values) - np.min(values) > tol:
                     return False
     return True
+
+
+def realize_blockwise(spec) -> np.ndarray:
+    """A BlockSpec's matrix as floats, filled one block at a time."""
+    ends = np.cumsum(spec.sizes)
+    a = np.empty((spec.n, spec.n))
+    for i, (start, end) in enumerate(zip(ends - spec.sizes, ends)):
+        for j, (left, right) in enumerate(zip(ends - spec.sizes, ends)):
+            a[start:end, left:right] = float(spec.l[i] if i == j else spec.s[i][j])
+        a[range(start, end), range(start, end)] = float(spec.l[i] + spec.p[i])
+    return a
+
+
+def _campaign_specs(trials, seed, n_range, t_range, coeff):
+    """The random specs of a probe campaign, one substream per trial."""
+    for i in range(trials):
+        yield _random_blockspec(random.Random(f"{seed}:{i}"), n_range, t_range, coeff)
+
+
+def _quarter(rng):
+    return Fraction(rng.randint(0, 40), 4)
+
+
+def conjecture_campaign(
+    trials: int, seed: int, n_range=(2, 20), t_range=(1, 4), tol: float = 1e-7
+) -> dict:
+    """``conjecture_search(...).to_json()`` one trial at a time: a
+    ``conjecture_probe`` per random spec, stopping at the first that fails."""
+    for i, spec in enumerate(_campaign_specs(trials, seed, n_range, t_range, _quarter)):
+        report = conjecture_probe(realize_blockwise(spec), spec.partition(), tol=tol)
+        if not report.holds:
+            return ConjectureSearchResult(i + 1, seed, spec, report).to_json()
+    return ConjectureSearchResult(trials, seed, None, None).to_json()
+
+
+def probe_gaps(trials: int, seed: int, n_range=(2, 20), t_range=(1, 4)) -> list[float]:
+    """|rho_B - rho_M| of every trial of a conjecture campaign."""
+    gaps = []
+    for spec in _campaign_specs(trials, seed, n_range, t_range, _quarter):
+        report = conjecture_probe(realize_blockwise(spec), spec.partition())
+        gaps.append(abs(report.rho_B - report.rho_M))
+    return gaps
+
+
+def block_spectrum_max_deviation(trials: int, seed: int, t_max: int = 4, n_max: int = 20) -> float:
+    """``lem3.4.random``'s max_deviation one trial at a time: the lifted
+    quotient spectrum against a full eigensolve of each random spec."""
+    dev = 0.0
+    specs = _campaign_specs(trials, seed, (1, n_max), (1, t_max), lambda rng: rng.randint(-5, 5))
+    for spec in specs:
+        numeric = eigenvalues(realize_blockwise(spec), cluster_tol=0.0)
+        dev = max(dev, block_spectrum(spec).deviation(numeric))
+    return dev
 
 
 def _mask_pairs(n: int, directed: bool) -> list[tuple[int, int]]:

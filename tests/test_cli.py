@@ -179,6 +179,21 @@ def test_conjecture_subcommand(run):
     assert payload == {"trials": 200, "seed": 3, "counterexample_found": False}
 
 
+def test_conjecture_at_the_order_budget_runs(run):
+    # each of these matrices fills most of a chunk's entry budget alone
+    code, out, err = run(["conjecture", "--trials", "3", "--n-max", "500"])
+    assert code in (0, 1)
+    assert json.loads(out)["seed"] == 0 and err == ""
+
+
+def test_invalid_partition_is_input_error(run, tmp_path):
+    path = tmp_path / "p3.txt"
+    path.write_text("graph 3\n0 1\n1 2\n")
+    code, out, err = run(["quotient", str(path), "--partition", "{0|0}", "--kind", "A"])
+    assert code == 2 and out == ""
+    assert err == "error: invalid partition '{0|0}': cells must be disjoint\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

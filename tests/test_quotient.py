@@ -10,6 +10,7 @@ import pytest
 
 from eqspec.errors import (
     DimensionMismatch,
+    InvalidParameters,
     NotEquitable,
     NotNonnegative,
     NotSymmetric,
@@ -29,6 +30,8 @@ from eqspec.linalg import ExactMatrix, Spectrum, eigenvalues, spectral_radius
 from eqspec.quotient import (
     BlockSpec,
     Partition,
+    _equitable_quotients,
+    _realize_stack,
     block_spectrum,
     conjecture_probe,
     format_partition,
@@ -38,9 +41,10 @@ from eqspec.quotient import (
     parse_partition,
     quotient_matrix,
     realize_block_matrix,
+    stacked_spectra,
 )
 
-from oracles import is_equitable_blockwise, quotient_matrix_blockwise
+from oracles import is_equitable_blockwise, quotient_matrix_blockwise, realize_blockwise
 
 PETERSEN_PART = Partition.from_sizes((5, 5))
 
@@ -64,6 +68,50 @@ def test_partition_parse_and_format():
 def test_partition_parse_rejects_bad_input(text):
     with pytest.raises(ParseError):
         parse_partition(text)
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ([], "cells must be nonempty"),
+        ([[0], []], "cells must be nonempty"),
+        ([[0, 1], [1]], "cells must be disjoint"),
+        ([[0], [2]], "cells must cover 0..n-1 exactly"),
+    ],
+)
+def test_partition_rejects_bad_cells_with_invalid_parameters(cells, message):
+    with pytest.raises(InvalidParameters, match=message):
+        Partition(cells)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{0,1|1}", "invalid partition '{0,1|1}': cells must be disjoint"),
+        ("{0|2}", "invalid partition '{0|2}': cells must cover 0..n-1 exactly"),
+    ],
+)
+def test_partition_parse_keeps_the_constructor_message(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_partition(text)
+    assert str(info.value) == message
+
+
+_TABLE = ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "sizes, l, s, message",
+    [
+        ((), (), (), "BlockSpec needs at least one block"),
+        ((2, 0), (1, 1), _TABLE, "block sizes must be at least 1"),
+        ((2, 1), (1,), _TABLE, "coefficient lists must match the block count"),
+        ((2, 1), (1, 1), ((0, 1), (1,)), "s must be a t x t table"),
+    ],
+)
+def test_blockspec_rejects_bad_shapes_with_invalid_parameters(sizes, l, s, message):
+    with pytest.raises(InvalidParameters, match=message):
+        BlockSpec(sizes=sizes, l=l, p=(0,) * len(sizes), s=s)
 
 
 def test_partition_discrete():
@@ -331,6 +379,79 @@ def test_blockspec_to_numpy_is_bit_identical_to_exact_realization():
         exact = realize_block_matrix(spec).to_numpy()
         assert fast.shape == exact.shape and fast.dtype == exact.dtype
         assert fast.tobytes() == exact.tobytes()
+
+
+def _random_specs(rng, count, n, coeff):
+    """Random BlockSpecs of order n, with 1 to min(n, 4) blocks."""
+    specs = []
+    for _ in range(count):
+        t = rng.randint(1, min(n, 4))
+        sizes = [1] * t
+        for _ in range(n - t):
+            sizes[rng.randrange(t)] += 1
+        specs.append(
+            BlockSpec(
+                sizes=tuple(sizes),
+                l=tuple(coeff() for _ in range(t)),
+                p=tuple(coeff() for _ in range(t)),
+                s=tuple(tuple(coeff() for _ in range(t)) for _ in range(t)),
+            )
+        )
+    return specs
+
+
+def test_realize_stack_matches_blockwise_realization():
+    rng = random.Random(46)
+    specs = _random_specs(
+        rng, 40, 9, lambda: Fraction(rng.randint(-30, 30), rng.choice((1, 3, 4)))
+    )
+    a, labels = _realize_stack(specs)
+    assert a.shape == (40, 9, 9) and labels.shape == (40, 9)
+    for j, spec in enumerate(specs):
+        assert a[j].tobytes() == realize_blockwise(spec).tobytes()
+        cells = spec.partition().cells
+        assert labels[j].tolist() == [i for i, cell in enumerate(cells) for _ in cell]
+
+
+def test_equitable_quotients_match_per_matrix_checks():
+    rng = random.Random(47)
+    specs = _random_specs(rng, 30, 7, lambda: Fraction(rng.randint(0, 40), 4))
+    a, labels = _realize_stack(specs)
+    # spoil every third matrix in its first row: not equitable when that
+    # row's block has another row
+    for j in range(0, 30, 3):
+        a[j, 0, 0] += 0.25
+    equitable, quotients = _equitable_quotients(a, labels)
+    assert 0 < equitable.sum() < 30
+    for j, spec in enumerate(specs):
+        part = spec.partition()
+        assert equitable[j] == is_equitable(a[j], part) == (j % 3 != 0 or spec.sizes[0] == 1)
+        assert quotients[j].tobytes() == quotient_matrix(a[j], part).tobytes()
+        if j % 3:
+            # a BlockSpec is equitable by construction; B is its exact quotient
+            assert quotients[j].tobytes() == spec.quotient().to_numpy().tobytes()
+
+
+@pytest.mark.parametrize("general", [False, True])
+def test_stacked_spectra_match_one_solve_per_matrix(general):
+    rng = random.Random(48)
+    specs = []
+    for n in (1, 2, 5, 8):
+        specs += _random_specs(rng, 12, n, lambda: rng.randint(-5, 5))
+    # symmetric specs share a group with the others of their order
+    specs += [BlockSpec((2, 3), (1, 2), (0, 1), ((0, 4), (4, 0))) for _ in range(3)]
+    rng.shuffle(specs)
+    m_values, b_values, negative, equitable = stacked_spectra(specs, general=general)
+    for spec, m_vals, b_vals, neg, eq in zip(specs, m_values, b_values, negative, equitable):
+        m = realize_blockwise(spec)
+        b = spec.quotient().to_numpy()
+        solo_m = np.linalg.eigvalsh(m) if np.array_equal(m, m.T) else np.linalg.eigvals(m)
+        if np.array_equal(b, b.T) and not general:
+            solo_b = np.linalg.eigvalsh(b)
+        else:
+            solo_b = np.linalg.eigvals(b)
+        assert np.array_equal(m_vals, solo_m) and np.array_equal(b_vals, solo_b)
+        assert neg == bool(np.any(m < 0)) and eq
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,15 @@ import math
 import random
 
 import pytest
-from oracles import labeled_scan, labeled_scan_table, relabeled_masks
+from oracles import (
+    conjecture_campaign,
+    labeled_scan,
+    labeled_scan_table,
+    probe_gaps,
+    relabeled_masks,
+)
+
+from eqspec import search
 
 from eqspec.errors import BudgetExceeded, CompleteInput, NotStronglyConnected
 from eqspec.families import (
@@ -27,7 +35,9 @@ from eqspec.linalg import spectral_radius
 from eqspec.quotient import BlockSpec, realize_block_matrix
 from eqspec.search import (
     OBJECTIVES,
+    PROBE_ORDER_BUDGET,
     ScanJob,
+    _probe_chunks,
     _orbits,
     conjecture_search,
     dominate_with_extremal,
@@ -274,6 +284,99 @@ def test_conjecture_search_deterministic_and_empty():
     b = conjecture_search(300, seed=5)
     assert not a.found and not b.found
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("trials, seed", [(2000, 7), (2000, 11), (10_000, 5)])
+def test_conjecture_search_equals_per_trial_campaign(trials, seed):
+    payload = conjecture_search(trials, seed=seed).to_json()
+    assert payload == conjecture_campaign(trials, seed)
+    # seed 5 meets its known tolerance failure at trial 7348
+    assert payload["counterexample_found"] == (seed == 5)
+    assert payload["trials"] == (7348 if seed == 5 else trials)
+
+
+def _chunk_orders(trials, seed):
+    """The matrix orders of every chunk a default-range campaign draws (a
+    trial draws its order before any coefficient)."""
+    chunks = _probe_chunks(trials, seed, (2, 20), (1, 4), lambda rng: 0)
+    return [[spec.n for spec in chunk] for chunk in chunks]
+
+
+def _chunk_edges(trials, seed):
+    """(first, last) trial index of every chunk the campaign draws."""
+    edges, start = [], 0
+    for orders in _chunk_orders(trials, seed):
+        edges.append((start, start + len(orders) - 1))
+        start += len(orders)
+    return edges
+
+
+def _tol_failing_at(gaps, index):
+    """A tol >= 0 under which trial ``index`` (0-based) is the first to fail."""
+    before = max(gaps[:index], default=0.0)
+    assert gaps[index] > before, "not the first trial past any tol"
+    return (before + gaps[index]) / 2
+
+
+def _records(gaps):
+    """The trials that are the first to fail under some tol."""
+    return [i for i in range(len(gaps)) if gaps[i] > max(gaps[:i], default=0.0)]
+
+
+_TRIALS = 300
+_WINDOW = 2000  # matrix entries: about a dozen trials a chunk
+
+
+def test_conjecture_search_fails_at_trial_one_like_the_oracle():
+    tol = _tol_failing_at(probe_gaps(1, 7), 0)
+    payload = conjecture_search(_TRIALS, seed=7, tol=tol).to_json()
+    assert payload["trials"] == 1
+    assert payload == conjecture_campaign(_TRIALS, 7, tol=tol)
+
+
+def test_conjecture_search_fails_inside_a_later_chunk_like_the_oracle(monkeypatch):
+    monkeypatch.setattr(search, "_PROBE_WINDOW", _WINDOW)
+    gaps = probe_gaps(_TRIALS, 7)
+    edges = _chunk_edges(_TRIALS, 7)
+    inside = [i for i in _records(gaps) if any(a < i < b for a, b in edges[1:])]
+    tol = _tol_failing_at(gaps, inside[-1])
+    payload = conjecture_search(_TRIALS, seed=7, tol=tol).to_json()
+    assert payload["trials"] == inside[-1] + 1
+    assert payload == conjecture_campaign(_TRIALS, 7, tol=tol)
+
+
+@pytest.mark.parametrize("edge", ["first", "last"])
+def test_conjecture_search_fails_on_a_chunk_edge_like_the_oracle(monkeypatch, edge):
+    gaps = probe_gaps(_TRIALS, 7)
+    index = [i for i in _records(gaps) if i > 20][0]
+    # size the window so that the failing trial opens or closes the first chunk
+    orders = [n for chunk in _chunk_orders(index + 1, 7) for n in chunk]
+    window = sum(n * n for n in orders[: index if edge == "first" else index + 1])
+    monkeypatch.setattr(search, "_PROBE_WINDOW", window)
+    first, last = _chunk_edges(_TRIALS, 7)[1 if edge == "first" else 0]
+    assert index == (first if edge == "first" else last)
+    tol = _tol_failing_at(gaps, index)
+    payload = conjecture_search(_TRIALS, seed=7, tol=tol).to_json()
+    assert payload["trials"] == index + 1
+    assert payload == conjecture_campaign(_TRIALS, 7, tol=tol)
+
+
+@pytest.mark.parametrize("n_range, trials", [((2, 20), 3000), ((2, PROBE_ORDER_BUDGET), 8)])
+def test_probe_chunks_stay_within_the_entry_budget(n_range, trials):
+    def coeff(rng):
+        return rng.randint(0, 40)
+
+    chunks = list(_probe_chunks(trials, 3, n_range, (1, 4), coeff))
+    assert len(chunks) > 1
+    for chunk in chunks:
+        # only a matrix larger than the window goes past it, alone
+        assert sum(spec.n**2 for spec in chunk) <= search._PROBE_WINDOW or len(chunk) == 1
+    # chunking draws each trial from its own substream, in order
+    drawn = [spec for chunk in chunks for spec in chunk]
+    assert drawn == [
+        search._random_blockspec(random.Random(f"3:{i}"), n_range, (1, 4), coeff)
+        for i in range(trials)
+    ]
 
 
 def test_conjecture_result_serializes_counterexample_payload():
