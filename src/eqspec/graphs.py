@@ -12,7 +12,7 @@ import enum
 from collections import deque
 from itertools import combinations
 
-from .errors import DisconnectedInput, ParseError
+from .errors import DisconnectedInput, InvalidParameters, ParseError
 from .linalg import ExactMatrix
 
 
@@ -35,14 +35,6 @@ class MatrixKind(enum.Enum):
         except ValueError:
             raise ParseError(f"unknown matrix kind {kind!r}") from None
 
-    @property
-    def needs_distances(self) -> bool:
-        return self in (
-            MatrixKind.DISTANCE,
-            MatrixKind.DISTANCE_LAPLACIAN,
-            MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN,
-        )
-
 
 ALL_KINDS = tuple(MatrixKind)
 
@@ -54,13 +46,13 @@ class Graph:
 
     def __init__(self, n: int, edges=()):
         if n < 1:
-            raise ValueError("graph needs at least one vertex")
+            raise InvalidParameters("graph needs at least one vertex")
         normalized = set()
         for u, v in edges:
             if u == v:
-                raise ValueError(f"loop at vertex {u}")
+                raise InvalidParameters(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                raise InvalidParameters(f"edge ({u}, {v}) out of range for n={n}")
             normalized.add((min(u, v), max(u, v)))
         self.n = n
         self.edges = frozenset(normalized)
@@ -101,13 +93,13 @@ class Digraph:
 
     def __init__(self, n: int, arcs=()):
         if n < 1:
-            raise ValueError("digraph needs at least one vertex")
+            raise InvalidParameters("digraph needs at least one vertex")
         normalized = set()
         for u, v in arcs:
             if u == v:
-                raise ValueError(f"loop at vertex {u}")
+                raise InvalidParameters(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
+                raise InvalidParameters(f"arc ({u}, {v}) out of range for n={n}")
             normalized.add((u, v))
         self.n = n
         self.arcs = frozenset(normalized)

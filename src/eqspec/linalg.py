@@ -104,9 +104,6 @@ class ExactMatrix:
     def row_sums(self) -> tuple:
         return tuple(sum(row) for row in self.rows)
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.rows)))
-
     def is_symmetric(self) -> bool:
         return all(
             self.rows[i][j] == self.rows[j][i]

@@ -252,7 +252,8 @@ class BlockSpec:
         ``l_i + p_i`` is taken exactly before the conversion, so the array
         equals ``realize_block_matrix(self).to_numpy()`` bit for bit.
         """
-        return _realize_stack([self])[0][0]
+        [(_, a, _)] = _realize_stacks(*_as_trials([self]))
+        return a[0]
 
     def to_json(self) -> dict:
         def enc(x):
@@ -278,49 +279,69 @@ class BlockSpec:
         )
 
 
-def _realize_stack(specs) -> tuple[np.ndarray, np.ndarray]:
-    """Realize BlockSpecs of one order n together, as floats.
+def _as_trials(specs) -> tuple[list, int]:
+    """BlockSpecs as probe trials, over the least common denominator of all
+    their coefficients, and that denominator. A trial is a BlockSpec as
+    plain ints: its sizes, and its coefficients l, p and s (row by row) as
+    numerators over a denominator that a campaign's trials share."""
+    coeffs = [(*spec.l, *spec.p, *(x for row in spec.s for x in row)) for spec in specs]
+    den = math.lcm(*(Fraction(x).denominator for c in coeffs for x in c))
+    return [(list(spec.sizes), [int(x * den) for x in c]) for spec, c in zip(specs, coeffs)], den
 
-    Returns the (k, n, n) stack of the realized matrices and the (k, n)
-    block index of every row. Each entry is ``float`` of the exact entry;
-    the diagonal sum ``l_i + p_i`` is taken exactly before the conversion.
+
+def _as_spec(trial, den: int) -> BlockSpec:
+    """The BlockSpec of a trial whose coefficients are over ``den``."""
+    sizes, c = trial[0], [Fraction(x, den) for x in trial[1]]
+    t = len(sizes)
+    s = tuple(tuple(c[(2 + i) * t : (3 + i) * t]) for i in range(t))
+    return BlockSpec(tuple(sizes), tuple(c[:t]), tuple(c[t : 2 * t]), s)
+
+
+_EXACT = 1 << 52  # ints below this in size, and sums of two, are exact floats
+
+
+def _realize_stacks(trials, den: int = 1):
+    """Realize trials as floats, one stack per matrix order n.
+
+    Yields the indices of each order's trials, the (k, n, n) stack of their
+    realized matrices and the (k, n) block index of every row. Each entry
+    is ``float`` of the exact entry: one correctly rounded division of its
+    exact numerator by ``den``, where the diagonal's numerator is the sum
+    of the l_i's and p_i's.
     """
-    # x.numerator / x.denominator is float(x) for an int or a Fraction
-    # (true division of ints rounds correctly), only faster; the diagonal
-    # takes the exact sum's numerator over its denominator the same way
-    width = max(spec.t for spec in specs)
-    tables, diagonals, labels = [], [], []
-    for spec in specs:
-        pad = [0.0] * (width - spec.t)
-        for i, row in enumerate(spec.s):
-            row = list(row)
-            row[i] = spec.l[i]
-            tables.append([x.numerator / x.denominator for x in row] + pad)
-        tables += [[0.0] * width] * (width - spec.t)
-        diagonals.append(
-            [
-                (l.numerator * p.denominator + p.numerator * l.denominator)
-                / (l.denominator * p.denominator)
-                for l, p in zip(spec.l, spec.p)
-            ]
-            + pad
-        )
-        labels.append([i for i, size in enumerate(spec.sizes) for _ in range(size)])
-    k = len(specs)
-    labels = np.array(labels, dtype=np.intp)
-    which = np.arange(k)[:, None]
-    a = np.array(tables).reshape(k, width, width)[
-        which[:, :, None], labels[:, :, None], labels[:, None, :]
-    ]
-    diagonal = np.arange(labels.shape[1])
-    a[:, diagonal, diagonal] = np.array(diagonals)[which, labels]
-    return a, labels
+    by_blocks: dict[int, list[int]] = {}
+    for j, (sizes, _) in enumerate(trials):
+        by_blocks.setdefault(len(sizes), []).append(j)
+    # every trial's blocks padded to the most any has: its table (l on the
+    # diagonal, s off it), its diagonal entries l + p, and its sizes
+    k, width = len(trials), max(by_blocks)
+    table, diagonals = np.zeros((k, width, width)), np.zeros((k, width))
+    sizes = np.zeros((k, width), dtype=np.intp)
+    for t, members in by_blocks.items():
+        coeffs = [trials[j][1] for j in members]
+        c = np.array(coeffs)
+        if not (c.dtype.kind == "i" and -_EXACT < c.min() <= c.max() < _EXACT and den < _EXACT):
+            c = np.array(coeffs, dtype=object)  # Python ints divide exactly
+        blocks = c[:, 2 * t :].reshape(-1, t, t) / den
+        blocks[:, range(t), range(t)] = c[:, :t] / den
+        table[members, :t, :t] = blocks
+        diagonals[members, :t] = (c[:, :t] + c[:, t : 2 * t]) / den
+        sizes[members, :t] = [trials[j][0] for j in members]
+    ends = np.cumsum(sizes, axis=1)
+    for n in np.unique(ends[:, -1]):
+        members = np.flatnonzero(ends[:, -1] == n)
+        labels = (np.arange(n)[:, None] >= ends[members, None, :]).sum(axis=2)
+        which = members[:, None]
+        a = table[which[:, :, None], labels[:, :, None], labels[:, None, :]]
+        diagonal = np.arange(n)
+        a[:, diagonal, diagonal] = diagonals[which, labels]
+        yield members, a, labels
 
 
 def _equitable_quotients(a: np.ndarray, labels: np.ndarray):
     """``is_equitable`` (at its default tol) and ``quotient_matrix`` for a
     (k, n, n) stack of matrices whose blocks are runs of consecutive rows
-    (``labels`` as ``_realize_stack`` gives them), from one batched
+    (``labels`` as ``_realize_stacks`` gives them), from one batched
     cell-sum product.
 
     Returns the equitable flags, a (k,) array, and the k quotient matrices.
@@ -348,25 +369,22 @@ def _equitable_quotients(a: np.ndarray, labels: np.ndarray):
     return equitable, quotients
 
 
-def stacked_spectra(specs, general: bool = False):
-    """Eigenvalues of many BlockSpecs' realized matrices M and quotients B.
+def stacked_spectra(trials, den: int = 1, general: bool = False):
+    """Eigenvalues of many trials' realized matrices M and quotients B,
+    for trials whose coefficients are over ``den``.
 
     Returns the eigenvalues of every M, those of every B (the general
-    solver's when ``general`` is set), and two flags per spec: M has a
+    solver's when ``general`` is set), and two flags per trial: M has a
     negative entry; the natural partition is equitable for M, by the
     ``is_equitable`` rule. The Ms of one order are realized together and
     their Bs read from one batched cell-sum product; the eigenvalues come
     from one solver call per group of equal order and symmetry.
     """
-    count = len(specs)
+    count = len(trials)
     m_values, quotients = [None] * count, [None] * count
     negative = np.zeros(count, dtype=bool)
     equitable = np.zeros(count, dtype=bool)
-    by_order: dict[int, list[int]] = {}
-    for j, spec in enumerate(specs):
-        by_order.setdefault(spec.n, []).append(j)
-    for members in by_order.values():
-        a, labels = _realize_stack([specs[j] for j in members])
+    for members, a, labels in _realize_stacks(trials, den):
         negative[members] = (a < 0).any(axis=(1, 2))
         equitable[members], group_quotients = _equitable_quotients(a, labels)
         for j, b, values in zip(members, group_quotients, eigvals_each(a)):
@@ -376,26 +394,10 @@ def stacked_spectra(specs, general: bool = False):
 
 def realize_block_matrix(spec: BlockSpec) -> ExactMatrix:
     """Expand a BlockSpec to the full n x n matrix it describes."""
-    n = spec.n
-    offsets = []
-    start = 0
-    for sz in spec.sizes:
-        offsets.append(start)
-        start += sz
-    rows = [[0] * n for _ in range(n)]
-    for i, sz_i in enumerate(spec.sizes):
-        oi = offsets[i]
-        for j, sz_j in enumerate(spec.sizes):
-            oj = offsets[j]
-            if i == j:
-                for a in range(sz_i):
-                    for b in range(sz_i):
-                        rows[oi + a][oj + b] = spec.l[i] + (spec.p[i] if a == b else 0)
-            else:
-                val = spec.s[i][j]
-                for a in range(sz_i):
-                    for b in range(sz_j):
-                        rows[oi + a][oj + b] = val
+    block = [i for i, size in enumerate(spec.sizes) for _ in range(size)]
+    rows = [[spec.l[i] if i == j else spec.s[i][j] for j in block] for i in block]
+    for a, i in enumerate(block):
+        rows[a][a] = spec.l[i] + spec.p[i]
     return ExactMatrix(rows)
 
 
@@ -405,15 +407,16 @@ def block_spectrum(spec: BlockSpec) -> Spectrum:
     Quotient eigenvalues plus p_i repeated (n_i - 1) times; total
     multiplicity is the matrix order.
     """
-    return _lifted_spectrum(spec, _eigvals(spec.quotient().to_numpy()))
+    return _lifted_spectrum(spec.sizes, spec.p, _eigvals(spec.quotient().to_numpy()))
 
 
-def _lifted_spectrum(spec: BlockSpec, quotient_values) -> Spectrum:
-    """``block_spectrum`` from the quotient's eigenvalues."""
+def _lifted_spectrum(sizes, p, quotient_values) -> Spectrum:
+    """``block_spectrum`` from the block sizes, the p_i and the quotient's
+    eigenvalues."""
     pairs = list(Spectrum.from_values(quotient_values, cluster_tol=0.0).pairs)
-    for p_i, sz in zip(spec.p, spec.sizes):
+    for p_i, sz in zip(p, sizes):
         if sz > 1:
-            pairs.append((complex(float(Fraction(p_i)), 0.0), sz - 1))
+            pairs.append((complex(float(p_i), 0.0), sz - 1))
     return Spectrum.from_pairs(pairs)
 
 
@@ -515,13 +518,13 @@ def conjecture_probe(m, part: Partition, tol: float = 1e-7) -> ProbeReport:
     return ProbeReport(holds=abs(rho_b - rho_m) <= tol, rho_B=rho_b, rho_M=rho_m)
 
 
-def _first_failing_probe(specs, tol: float = 1e-7) -> tuple[int, ProbeReport] | None:
-    """The index of the first spec whose
+def _first_failing_probe(trials, den: int, tol: float = 1e-7) -> tuple[int, ProbeReport] | None:
+    """The index of the first trial (coefficients over ``den``) whose
     ``conjecture_probe(spec.to_numpy(), spec.partition(), tol)`` does not
-    hold, with that report, or None when every probe holds. Raises what
-    that probe raises at the first spec it rejects.
+    hold for its BlockSpec, with that report, or None when every probe
+    holds. Raises what that probe raises at the first trial it rejects.
     """
-    m_values, b_values, negative, equitable = stacked_spectra(specs, general=True)
+    m_values, b_values, negative, equitable = stacked_spectra(trials, den, general=True)
     for j, (m_vals, b_vals) in enumerate(zip(m_values, b_values)):
         if negative[j]:
             raise NotNonnegative("conjecture_probe requires a nonnegative matrix")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
@@ -37,7 +36,7 @@ from .families import (
     format_family,
 )
 from .graphs import Digraph, Graph, is_strongly_connected, vertex_connectivity
-from .quotient import BlockSpec, ProbeReport, _first_failing_probe
+from .quotient import BlockSpec, ProbeReport, _as_spec, _first_failing_probe
 
 UNDIRECTED_VERTEX_BUDGET = 7  # 2**21 labeled graphs
 DIRECTED_VERTEX_BUDGET = 5  # 2**20 labeled digraphs
@@ -662,29 +661,40 @@ def _check_probe_parameters(trials: int, n_range, t_range) -> None:
         )
 
 
-def _random_blockspec(rng: random.Random, n_range, t_range, coeff) -> BlockSpec:
-    """Random BlockSpec with t in t_range blocks and order n in n_range
-    (raised to t when below it); every coefficient is ``coeff(rng)``.
+def _draw_below(getrandbits, span: int, count: int) -> list[int]:
+    """``count`` values of ``randrange(span)``, drawn as CPython draws them:
+    ``span.bit_length()`` random bits, redrawn while not below ``span``."""
+    k = span.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= span:
+            r = getrandbits(k)
+        out.append(r)
+    return out
 
-    The draws come in a fixed order (t, n, the sizes, then l, p and s),
-    which recorded outputs depend on.
-    """
-    t = rng.randint(t_range[0], t_range[1])
-    n = rng.randint(max(t, n_range[0]), max(t, n_range[1]))
+
+def _random_trial(rng: random.Random, n_range, t_range, coeff_range):
+    """A random trial: the sizes of t in t_range blocks of n in n_range
+    rows (raised to t when below it), then 2t + t*t integer coefficients
+    (l, p, and s row by row). Each draw is the value ``randint``/``randrange``
+    would give, in a fixed order (t, n, sizes, coefficients) that recorded
+    outputs depend on."""
+    getrandbits = rng.getrandbits
+    t = t_range[0] + _draw_below(getrandbits, t_range[1] - t_range[0] + 1, 1)[0]
+    low = max(t, n_range[0])
+    n = low + _draw_below(getrandbits, max(t, n_range[1]) - low + 1, 1)[0]
     sizes = [1] * t
-    for _ in range(n - t):
-        sizes[rng.randrange(t)] += 1
-    return BlockSpec(
-        sizes=tuple(sizes),
-        l=tuple(coeff(rng) for _ in range(t)),
-        p=tuple(coeff(rng) for _ in range(t)),
-        s=tuple(tuple(coeff(rng) for _ in range(t)) for _ in range(t)),
-    )
+    for block in _draw_below(getrandbits, t, n - t):
+        sizes[block] += 1
+    low, high = coeff_range
+    return sizes, [low + r for r in _draw_below(getrandbits, high - low + 1, t * (t + 2))]
 
 
-def _probe_chunks(trials: int, seed: int, n_range, t_range, coeff):
-    """The campaign's random specs in order, in lists whose realized
-    matrices hold at most ``_PROBE_WINDOW`` entries together; a spec whose
+def _probe_chunks(trials: int, seed: int, n_range, t_range, coeff_range):
+    """The campaign's random trials in order, as ``(sizes, coefficients)``
+    pairs of plain ints (see ``_random_trial``), in lists whose realized
+    matrices hold at most ``_PROBE_WINDOW`` entries together; a trial whose
     matrix alone holds more is a list of its own.
 
     Trial i draws from its own substream ``random.Random(f"{seed}:{i}")``,
@@ -693,12 +703,13 @@ def _probe_chunks(trials: int, seed: int, n_range, t_range, coeff):
     """
     chunk, entries = [], 0
     for i in range(trials):
-        spec = _random_blockspec(random.Random(f"{seed}:{i}"), n_range, t_range, coeff)
-        if chunk and entries + spec.n**2 > _PROBE_WINDOW:
+        trial = _random_trial(random.Random(f"{seed}:{i}"), n_range, t_range, coeff_range)
+        n = sum(trial[0])
+        if chunk and entries + n * n > _PROBE_WINDOW:
             yield chunk
             chunk, entries = [], 0
-        chunk.append(spec)
-        entries += spec.n**2
+        chunk.append(trial)
+        entries += n * n
     yield chunk
 
 
@@ -714,27 +725,23 @@ def conjecture_search(
 
     Deterministic given the seed (per-trial independent substreams). Stops
     at the first failing instance and returns it fully; None expected.
-    Each trial is ``conjecture_probe`` of one random ``BlockSpec``, with the
-    same checks, errors and verdict. The trials are drawn in chunks of at
-    most ``_PROBE_WINDOW`` matrix entries (or one larger matrix), and a
-    chunk's matrices and quotients are checked and solved together, one
-    eigensolver call per group of equal order (and, for M, symmetry). The
-    first failing trial is the one reported, whatever else its chunk holds.
+    Each trial is ``conjecture_probe`` of one random ``BlockSpec`` whose
+    coefficients are quarters in [0, 10], with the same checks, errors and
+    verdict. The trials are drawn as plain ints (numerators over 4, see
+    ``_probe_chunks``) in chunks of at most ``_PROBE_WINDOW`` matrix
+    entries (or one larger matrix); a chunk's matrices are realized straight
+    from those ints, checked and solved together, one eigensolver call per
+    group of equal order (and, for M, symmetry). The first failing trial is
+    the one reported, whatever else its chunk holds, and it is the only one
+    made a ``BlockSpec``.
     """
     _check_probe_parameters(trials, n_range, t_range)
-
-    def coeff(rng):
-        return Fraction(rng.randint(0, 40), 4)  # rationals in [0, 10]
-
     done = 0
-    for chunk in _probe_chunks(trials, seed, n_range, t_range, coeff):
-        failure = _first_failing_probe(chunk, tol)
+    for chunk in _probe_chunks(trials, seed, n_range, t_range, (0, 40)):
+        failure = _first_failing_probe(chunk, 4, tol)
         if failure is not None:
             j, report = failure
-            return ConjectureSearchResult(
-                trials=done + j + 1, seed=seed, counterexample=chunk[j], report=report
-            )
+            spec = _as_spec(chunk[j], 4)
+            return ConjectureSearchResult(done + j + 1, seed, spec, report)
         done += len(chunk)
-    return ConjectureSearchResult(
-        trials=trials, seed=seed, counterexample=None, report=None
-    )
+    return ConjectureSearchResult(trials, seed, None, None)

@@ -716,16 +716,13 @@ def _handle_block_spectrum_random(params: dict) -> VerificationReport:
     n_max = _int_param(params, "n_max", 20)
     n_range, t_range = (1, n_max), (1, t_max)
     _check_probe_parameters(trials, n_range, t_range)
-
-    def coeff(rng):
-        return rng.randint(-5, 5)
-
     dev = 0.0
-    for chunk in _probe_chunks(trials, seed, n_range, t_range, coeff):
+    for chunk in _probe_chunks(trials, seed, n_range, t_range, (-5, 5)):
         m_values, b_values, _, _ = stacked_spectra(chunk)
-        for spec, m_vals, b_vals in zip(chunk, m_values, b_values):
+        for (sizes, coeffs), m_vals, b_vals in zip(chunk, m_values, b_values):
             numeric = Spectrum.from_values(m_vals, cluster_tol=0.0)
-            dev = max(dev, _lifted_spectrum(spec, b_vals).deviation(numeric))
+            p = coeffs[len(sizes) : 2 * len(sizes)]
+            dev = max(dev, _lifted_spectrum(sizes, p, b_vals).deviation(numeric))
     return VerificationReport(
         claim_id="lem3.4.random",
         params={"trials": trials, "seed": seed, "t_max": t_max, "n_max": n_max},

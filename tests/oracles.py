@@ -20,8 +20,8 @@ import numpy as np
 
 from eqspec.graphs import Digraph, Graph
 from eqspec.linalg import ExactMatrix, Polynomial, eigenvalues
-from eqspec.quotient import block_spectrum, conjecture_probe
-from eqspec.search import ConjectureSearchResult, _random_blockspec
+from eqspec.quotient import BlockSpec, block_spectrum, conjecture_probe
+from eqspec.search import ConjectureSearchResult
 
 
 def bareiss_det(rows) -> Fraction:
@@ -263,10 +263,27 @@ def realize_blockwise(spec) -> np.ndarray:
     return a
 
 
+def random_blockspec(rng: random.Random, n_range, t_range, coeff) -> BlockSpec:
+    """A probe campaign's random BlockSpec through the ``random`` API: t in
+    t_range blocks and order n in n_range (raised to t when below it), sizes
+    by ``randrange``, then every coefficient l, p and s as ``coeff(rng)``."""
+    t = rng.randint(t_range[0], t_range[1])
+    n = rng.randint(max(t, n_range[0]), max(t, n_range[1]))
+    sizes = [1] * t
+    for _ in range(n - t):
+        sizes[rng.randrange(t)] += 1
+    return BlockSpec(
+        sizes=tuple(sizes),
+        l=tuple(coeff(rng) for _ in range(t)),
+        p=tuple(coeff(rng) for _ in range(t)),
+        s=tuple(tuple(coeff(rng) for _ in range(t)) for _ in range(t)),
+    )
+
+
 def _campaign_specs(trials, seed, n_range, t_range, coeff):
     """The random specs of a probe campaign, one substream per trial."""
     for i in range(trials):
-        yield _random_blockspec(random.Random(f"{seed}:{i}"), n_range, t_range, coeff)
+        yield random_blockspec(random.Random(f"{seed}:{i}"), n_range, t_range, coeff)
 
 
 def _quarter(rng):

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from eqspec.errors import DisconnectedInput, ParseError
+from eqspec.errors import DisconnectedInput, InvalidParameters, ParseError
 from eqspec.families import (
     BidirectedComplete,
     CliqueStar,
@@ -322,6 +322,8 @@ def test_graph_file_comments_and_blanks():
         ("graph 3\n0 1\n0 1\n", "line 3: duplicate edge"),
         ("graph 3\n1 1\n", "line 2: loop"),
         ("graph 3\n0 5\n", "line 2: endpoint out of range"),
+        ("digraph 2\n0 2\n", "line 2: endpoint out of range"),
+        ("graph 0\n", "line 1: vertex count must be at least 1"),
         ("digraph 2\n0 1\n1 0\n0 1\n", "line 4: duplicate arc"),
         ("squiggle 3\n", "line 1"),
         ("graph x\n", "line 1"),
@@ -332,6 +334,23 @@ def test_graph_file_errors_name_the_line(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_graph_file(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Graph(0), "graph needs at least one vertex"),
+        (lambda: Digraph(0, []), "digraph needs at least one vertex"),
+        (lambda: Graph(3, [(1, 1)]), "loop at vertex 1"),
+        (lambda: Digraph(3, [(0, 1), (2, 2)]), "loop at vertex 2"),
+        (lambda: Graph(3, [(0, 3)]), "edge (0, 3) out of range for n=3"),
+        (lambda: Digraph(2, [(-1, 1)]), "arc (-1, 1) out of range for n=2"),
+    ],
+)
+def test_graph_construction_errors_are_typed(make, message):
+    with pytest.raises(InvalidParameters) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_digraph_reverse_arcs_are_distinct():

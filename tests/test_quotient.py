@@ -30,8 +30,10 @@ from eqspec.linalg import ExactMatrix, Spectrum, eigenvalues, spectral_radius
 from eqspec.quotient import (
     BlockSpec,
     Partition,
+    _as_spec,
+    _as_trials,
     _equitable_quotients,
-    _realize_stack,
+    _realize_stacks,
     block_spectrum,
     conjecture_probe,
     format_partition,
@@ -381,6 +383,29 @@ def test_blockspec_to_numpy_is_bit_identical_to_exact_realization():
         assert fast.tobytes() == exact.tobytes()
 
 
+def test_blockspec_to_numpy_is_exact_past_the_float_mantissa():
+    # numerators and sums past 2**52 are realized from Python ints
+    big = 2**70 + 1
+    specs = [
+        BlockSpec((2, 1), (Fraction(big, 3), 1), (2**52, -(2**52)), ((0, -big), (1, 0))),
+        BlockSpec((1, 2), (1, 2), (0, 1), ((0, Fraction(1, 2**53 + 1)), (3, 0))),
+    ]
+    for spec in specs:
+        assert spec.to_numpy().tobytes() == realize_block_matrix(spec).to_numpy().tobytes()
+
+
+def test_trials_round_trip_over_the_least_common_denominator():
+    specs = [
+        BlockSpec((2, 1), (Fraction(1, 2), 0), (1, Fraction(3, 4)), ((0, 1), (Fraction(5, 6), 0))),
+        BlockSpec((3,), (2,), (Fraction(-1, 3),), ((7,),)),
+    ]
+    trials, den = _as_trials(specs)
+    assert den == 12
+    assert trials[1] == ([3], [24, -4, 84])
+    assert all(type(x) is int for _, coeffs in trials for x in coeffs)
+    assert [_as_spec(trial, den) for trial in trials] == specs
+
+
 def _random_specs(rng, count, n, coeff):
     """Random BlockSpecs of order n, with 1 to min(n, 4) blocks."""
     specs = []
@@ -405,7 +430,8 @@ def test_realize_stack_matches_blockwise_realization():
     specs = _random_specs(
         rng, 40, 9, lambda: Fraction(rng.randint(-30, 30), rng.choice((1, 3, 4)))
     )
-    a, labels = _realize_stack(specs)
+    [(members, a, labels)] = _realize_stacks(*_as_trials(specs))
+    assert members.tolist() == list(range(40))
     assert a.shape == (40, 9, 9) and labels.shape == (40, 9)
     for j, spec in enumerate(specs):
         assert a[j].tobytes() == realize_blockwise(spec).tobytes()
@@ -416,7 +442,7 @@ def test_realize_stack_matches_blockwise_realization():
 def test_equitable_quotients_match_per_matrix_checks():
     rng = random.Random(47)
     specs = _random_specs(rng, 30, 7, lambda: Fraction(rng.randint(0, 40), 4))
-    a, labels = _realize_stack(specs)
+    [(_, a, labels)] = _realize_stacks(*_as_trials(specs))
     # spoil every third matrix in its first row: not equitable when that
     # row's block has another row
     for j in range(0, 30, 3):
@@ -441,7 +467,9 @@ def test_stacked_spectra_match_one_solve_per_matrix(general):
     # symmetric specs share a group with the others of their order
     specs += [BlockSpec((2, 3), (1, 2), (0, 1), ((0, 4), (4, 0))) for _ in range(3)]
     rng.shuffle(specs)
-    m_values, b_values, negative, equitable = stacked_spectra(specs, general=general)
+    trials, den = _as_trials(specs)
+    assert den == 1
+    m_values, b_values, negative, equitable = stacked_spectra(trials, general=general)
     for spec, m_vals, b_vals, neg, eq in zip(specs, m_values, b_values, negative, equitable):
         m = realize_blockwise(spec)
         b = spec.quotient().to_numpy()

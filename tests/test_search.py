@@ -11,6 +11,7 @@ from oracles import (
     labeled_scan,
     labeled_scan_table,
     probe_gaps,
+    random_blockspec,
     relabeled_masks,
 )
 
@@ -298,8 +299,8 @@ def test_conjecture_search_equals_per_trial_campaign(trials, seed):
 def _chunk_orders(trials, seed):
     """The matrix orders of every chunk a default-range campaign draws (a
     trial draws its order before any coefficient)."""
-    chunks = _probe_chunks(trials, seed, (2, 20), (1, 4), lambda rng: 0)
-    return [[spec.n for spec in chunk] for chunk in chunks]
+    chunks = _probe_chunks(trials, seed, (2, 20), (1, 4), (0, 40))
+    return [[sum(sizes) for sizes, _ in chunk] for chunk in chunks]
 
 
 def _chunk_edges(trials, seed):
@@ -361,22 +362,81 @@ def test_conjecture_search_fails_on_a_chunk_edge_like_the_oracle(monkeypatch, ed
     assert payload == conjecture_campaign(_TRIALS, 7, tol=tol)
 
 
+def _oracle_trial(rng, n_range, t_range, coeff_range):
+    """The oracle's random BlockSpec, as (sizes, coefficients) lists."""
+    spec = random_blockspec(rng, n_range, t_range, lambda r: r.randint(*coeff_range))
+    return list(spec.sizes), [*spec.l, *spec.p, *(x for row in spec.s for x in row)]
+
+
+@pytest.mark.parametrize(
+    "n_range, t_range, coeff_range",
+    [
+        ((2, 20), (1, 4), (0, 40)),  # conjecture
+        ((1, 20), (1, 4), (-5, 5)),  # lem3.4.random
+        ((1, 6), (1, 3), (7, 7)),  # span 1: randint(7, 7) still takes a bit
+        ((2, 9), (1, 4), (0, 31)),  # a power-of-two span: no redraws
+        ((1, 12), (1, 1), (0, 40)),  # one block: randrange(1) per extra row
+        ((1, 2), (3, 5), (-5, 5)),  # n_max below every t: n is raised to t
+    ],
+)
+def test_random_trial_draws_what_the_random_api_draws(n_range, t_range, coeff_range):
+    for i in range(2000):
+        drawn = search._random_trial(random.Random(f"9:{i}"), n_range, t_range, coeff_range)
+        assert drawn == _oracle_trial(random.Random(f"9:{i}"), n_range, t_range, coeff_range)
+
+
 @pytest.mark.parametrize("n_range, trials", [((2, 20), 3000), ((2, PROBE_ORDER_BUDGET), 8)])
 def test_probe_chunks_stay_within_the_entry_budget(n_range, trials):
-    def coeff(rng):
-        return rng.randint(0, 40)
-
-    chunks = list(_probe_chunks(trials, 3, n_range, (1, 4), coeff))
+    chunks = list(_probe_chunks(trials, 3, n_range, (1, 4), (0, 40)))
     assert len(chunks) > 1
     for chunk in chunks:
         # only a matrix larger than the window goes past it, alone
-        assert sum(spec.n**2 for spec in chunk) <= search._PROBE_WINDOW or len(chunk) == 1
+        entries = sum(sum(sizes) ** 2 for sizes, _ in chunk)
+        assert entries <= search._PROBE_WINDOW or len(chunk) == 1
     # chunking draws each trial from its own substream, in order
-    drawn = [spec for chunk in chunks for spec in chunk]
+    drawn = [trial for chunk in chunks for trial in chunk]
     assert drawn == [
-        search._random_blockspec(random.Random(f"3:{i}"), n_range, (1, 4), coeff)
-        for i in range(trials)
+        _oracle_trial(random.Random(f"3:{i}"), n_range, (1, 4), (0, 40)) for i in range(trials)
     ]
+
+
+def test_probe_chunks_hold_plain_ints_only():
+    chunk = next(_probe_chunks(3000, 3, (2, 20), (1, 4), (0, 40)))
+    assert len(chunk) > 100
+    for trial in chunk:
+        assert type(trial) is tuple and len(trial) == 2
+        for part in trial:
+            assert type(part) is list and all(type(x) is int for x in part)
+
+
+def _count_blockspecs(monkeypatch):
+    """A list that gains an entry for every BlockSpec built from now on."""
+    built = []
+    init = BlockSpec.__post_init__
+
+    def counted(spec):
+        built.append(spec)
+        init(spec)
+
+    monkeypatch.setattr(BlockSpec, "__post_init__", counted)
+    return built
+
+
+def test_conjecture_search_builds_a_blockspec_only_for_the_counterexample(monkeypatch):
+    gaps = probe_gaps(_TRIALS, 7)
+    built = _count_blockspecs(monkeypatch)
+    assert not conjecture_search(_TRIALS, seed=7).found
+    assert built == []
+    result = conjecture_search(_TRIALS, seed=7, tol=_tol_failing_at(gaps, _records(gaps)[-1]))
+    assert built == [result.counterexample]
+
+
+def test_block_spectrum_random_builds_no_blockspec(monkeypatch):
+    from eqspec.theorems import verify_claim
+
+    built = _count_blockspecs(monkeypatch)
+    verify_claim("lem3.4.random", {"trials": 300, "seed": 7})
+    assert built == []
 
 
 def test_conjecture_result_serializes_counterexample_payload():
