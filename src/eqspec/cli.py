@@ -180,7 +180,6 @@ def _cmd_scan(args) -> int:
         directed=args.directed,
         objective=args.objective,
         mode=args.mode,
-        shards=args.shards,
     )
     cert = search.extremal_scan(job)
     _emit(cert.to_json(), args.pretty)
@@ -242,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directed", action="store_true")
     p.add_argument("--objective", required=True, choices=search.OBJECTIVES)
     p.add_argument("--mode", required=True, choices=("max", "min"))
-    p.add_argument("--shards", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_scan)
 

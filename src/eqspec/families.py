@@ -50,6 +50,10 @@ class CompleteMultipartite:
         if any(x < 1 for x in self.parts):
             raise InvalidParameters("part sizes must be at least 1")
 
+    @property
+    def n(self) -> int:
+        return sum(self.parts)
+
 
 @dataclass(frozen=True)
 class CliqueStar:
@@ -107,6 +111,14 @@ class KnkpGraph:
     @property
     def q(self) -> int:
         return self.n - self.p - self.k
+
+
+def _endpoint_members(family, n: int, k: int) -> tuple:
+    """The p=1 and p=n-k-1 members of a connectivity family, once each."""
+    members = [family(n, k, 1)]
+    if n - k - 1 != 1:
+        members.append(family(n, k, n - k - 1))
+    return tuple(members)
 
 
 FamilySpec = (

@@ -494,7 +494,22 @@ def _eigvals(a: np.ndarray, general: bool = False) -> np.ndarray:
 
 def eigvals_each(mats, general: bool = False) -> list[np.ndarray]:
     """The eigenvalues of every square matrix in ``mats``, with one solver
-    call per group of matrices that share an order and symmetry.
+    call per group of matrices that share an order and symmetry (see
+    ``eigvals_stack``)."""
+    by_order: dict[int, list[int]] = {}
+    for i, m in enumerate(mats):
+        by_order.setdefault(m.shape[0], []).append(i)
+    out: list[np.ndarray] = [None] * len(mats)
+    for members in by_order.values():
+        stack = np.stack([mats[i] for i in members])
+        for i, values in zip(members, eigvals_stack(stack, general)):
+            out[i] = values
+    return out
+
+
+def eigvals_stack(stack: np.ndarray, general: bool = False) -> list[np.ndarray]:
+    """The eigenvalues of each matrix of a (k, n, n) stack, with one solver
+    call for its real symmetric matrices and one for the rest.
 
     Real symmetric matrices go to the symmetric solver unless ``general``
     is set, the rest to the general one. Each matrix gets the values a call
@@ -502,21 +517,15 @@ def eigvals_each(mats, general: bool = False) -> list[np.ndarray]:
     with a zero imaginary part, when another matrix of its group has
     complex eigenvalues.
     """
-    by_order: dict[int, list[int]] = {}
-    for i, m in enumerate(mats):
-        by_order.setdefault(m.shape[0], []).append(i)
-    out: list[np.ndarray] = [None] * len(mats)
-    for members in by_order.values():
-        members = np.array(members)
-        stack = np.stack([mats[i] for i in members])
-        if general or stack.dtype.kind == "c":
-            symmetric = np.zeros(len(members), dtype=bool)
-        else:
-            symmetric = (stack == np.swapaxes(stack, 1, 2)).all(axis=(1, 2))
-        for sym, group in ((True, symmetric), (False, ~symmetric)):
-            if group.any():
-                for i, v in zip(members[group], _eigvals(stack[group], not sym)):
-                    out[i] = v
+    if general or stack.dtype.kind == "c":
+        symmetric = np.zeros(len(stack), dtype=bool)
+    else:
+        symmetric = (stack == np.swapaxes(stack, 1, 2)).all(axis=(1, 2))
+    out: list[np.ndarray] = [None] * len(stack)
+    for sym, group in ((True, symmetric), (False, ~symmetric)):
+        if group.any():
+            for i, values in zip(np.flatnonzero(group), _eigvals(stack[group], not sym)):
+                out[i] = values
     return out
 
 

@@ -32,6 +32,7 @@ from .linalg import (
     as_numeric,
     eigenvalues,
     eigvals_each,
+    eigvals_stack,
     spectral_radius,
 )
 
@@ -387,7 +388,7 @@ def stacked_spectra(trials, den: int = 1, general: bool = False):
     for members, a, labels in _realize_stacks(trials, den):
         negative[members] = (a < 0).any(axis=(1, 2))
         equitable[members], group_quotients = _equitable_quotients(a, labels)
-        for j, b, values in zip(members, group_quotients, eigvals_each(a)):
+        for j, b, values in zip(members, group_quotients, eigvals_stack(a)):
             quotients[j], m_values[j] = b, values
     return m_values, eigvals_each(quotients, general), negative, equitable
 

@@ -32,10 +32,11 @@ from .families import (
     DirectedCycle,
     KnkpDigraph,
     KnkpGraph,
+    _endpoint_members,
     build,
     format_family,
 )
-from .graphs import Digraph, Graph, is_strongly_connected, vertex_connectivity
+from .graphs import Digraph, Graph, _bfs_levels, is_strongly_connected, vertex_connectivity
 from .quotient import BlockSpec, ProbeReport, _as_spec, _first_failing_probe
 
 UNDIRECTED_VERTEX_BUDGET = 7  # 2**21 labeled graphs
@@ -269,46 +270,6 @@ def _optimum(masks: np.ndarray, vals: np.ndarray, mode: str):
     return value, tuple(masks[near].tolist())
 
 
-def _run_scan(n, directed, targets):
-    """Shared scan driver. targets: key -> (k_or_None, objective, mode).
-
-    Connectivity, vertex connectivity and the objectives are computed once
-    per orbit; a class counts each orbit with its size. The orbits near each
-    optimum are expanded to their labeled masks, whose own values decide
-    the optimum and its optimizers. Returns ({key: (value, optimizer masks)
-    or None for an empty class}, {k: labeled masks in the class}).
-    """
-    _check_budget(n, directed)
-    pairs = pair_table(n, directed)
-    reps, sizes = _orbits(n, directed)
-    need_kappa = any(k is not None for k, _, _ in targets.values())
-    need_objectives = tuple(sorted({obj for _, obj, _ in targets.values()}))
-    adj = _adjacency_batch(reps, n, pairs, directed)
-    dist, connected = _distances_and_connectivity(adj)
-    kappa = _kappa_batch(adj, connected) if need_kappa else None
-    values = _objective_batch(adj, dist, directed, need_objectives)
-    reach = _TIE_TOL + _ORBIT_SLACK
-    found = {}
-    examined: dict[int | None, int] = {}
-    for key, (k, objective, mode) in targets.items():
-        in_class = connected if k is None else kappa == k
-        examined[k] = int(sizes[in_class].sum())
-        if not in_class.any():
-            found[key] = None
-            continue
-        vals = values[objective]
-        if mode == "max":
-            near = in_class & (vals >= vals[in_class].max() - reach)
-        else:
-            near = in_class & (vals <= vals[in_class].min() + reach)
-        masks = _expand(n, directed, reps[near])
-        labeled = _adjacency_batch(masks, n, pairs, directed)
-        labeled_dist, _ = _distances_and_connectivity(labeled)
-        labeled_values = _objective_batch(labeled, labeled_dist, directed, (objective,))
-        found[key] = _optimum(masks, labeled_values[objective], mode)
-    return found, examined
-
-
 # ---------------------------------------------------------------------------
 # public scan API
 
@@ -318,8 +279,7 @@ class ScanJob:
     """One extremal question: optimize an objective over a connectivity class.
 
     k=None drops the connectivity filter and scans every (strongly)
-    connected member. ``shards`` is accepted for compatibility and has no
-    effect: one orbit scan covers the whole mask space.
+    connected member.
     """
 
     n: int
@@ -327,8 +287,6 @@ class ScanJob:
     directed: bool
     objective: str
     mode: str
-    shards: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -370,12 +328,9 @@ class ExtremalCertificate:
 def _classification_targets(n, k, directed):
     """Reference families the optimizers are matched against."""
     if k is not None:
-        fam = KnkpDigraph if directed else KnkpGraph
-        specs = [fam(n, k, 1)]
-        if n - k - 1 != 1:
-            specs.append(fam(n, k, n - k - 1))
+        specs = _endpoint_members(KnkpDigraph if directed else KnkpGraph, n, k)
     else:
-        specs = [BidirectedComplete(n), DirectedCycle(n)]
+        specs = (BidirectedComplete(n), DirectedCycle(n))
     return [(format_family(s), labeled_isomorph_masks(build(s))) for s in specs]
 
 
@@ -396,38 +351,77 @@ def _scan_note(n, directed, k) -> str:
     )
 
 
+def _certificates(n: int, directed: bool, targets) -> dict:
+    """One scan for every target, key -> (k or None, objective, mode), as
+    {key: certificate}; a target whose class is empty is left out.
+
+    Connectivity, vertex connectivity and the objectives are computed once
+    per orbit; a class counts each orbit with its size. The orbits near each
+    optimum are expanded to their labeled masks, whose own values decide
+    the optimum and its optimizers. The classification references are
+    built once per class.
+    """
+    _check_budget(n, directed)
+    pairs = pair_table(n, directed)
+    reps, sizes = _orbits(n, directed)
+    need_kappa = any(k is not None for k, _, _ in targets.values())
+    need_objectives = tuple(sorted({obj for _, obj, _ in targets.values()}))
+    adj = _adjacency_batch(reps, n, pairs, directed)
+    dist, connected = _distances_and_connectivity(adj)
+    kappa = _kappa_batch(adj, connected) if need_kappa else None
+    values = _objective_batch(adj, dist, directed, need_objectives)
+    reach = _TIE_TOL + _ORBIT_SLACK
+    refs_by_k = {}
+    out = {}
+    for key, (k, objective, mode) in targets.items():
+        in_class = connected if k is None else kappa == k
+        if not in_class.any():
+            continue
+        vals = values[objective]
+        if mode == "max":
+            near = in_class & (vals >= vals[in_class].max() - reach)
+        else:
+            near = in_class & (vals <= vals[in_class].min() + reach)
+        masks = _expand(n, directed, reps[near])
+        labeled = _adjacency_batch(masks, n, pairs, directed)
+        labeled_dist, _ = _distances_and_connectivity(labeled)
+        labeled_values = _objective_batch(labeled, labeled_dist, directed, (objective,))
+        value, optimizers = _optimum(masks, labeled_values[objective], mode)
+        if k not in refs_by_k:
+            refs_by_k[k] = _classification_targets(n, k, directed)
+        out[key] = ExtremalCertificate(
+            n=n,
+            k=k,
+            directed=directed,
+            objective=objective,
+            mode=mode,
+            value=value,
+            optimizers=optimizers,
+            classification=_classify(optimizers, refs_by_k[k]),
+            examined=int(sizes[in_class].sum()),
+            note=_scan_note(n, directed, k),
+        )
+    return out
+
+
 def extremal_scan(job: ScanJob) -> ExtremalCertificate:
     """Scan the full enumeration for the job's optimum and classify optimizers."""
-    found, examined = _run_scan(
+    certificates = _certificates(
         job.n, job.directed, {"job": (job.k, job.objective, job.mode)}
     )
-    if found["job"] is None:
+    if "job" not in certificates:
         raise InvalidParameters(
             f"no {'strongly connected digraph' if job.directed else 'connected graph'}"
             f" with the requested connectivity on n={job.n}"
         )
-    value, optimizers = found["job"]
-    refs = _classification_targets(job.n, job.k, job.directed)
-    return ExtremalCertificate(
-        n=job.n,
-        k=job.k,
-        directed=job.directed,
-        objective=job.objective,
-        mode=job.mode,
-        value=value,
-        optimizers=optimizers,
-        classification=_classify(optimizers, refs),
-        examined=examined[job.k],
-        note=_scan_note(job.n, job.directed, job.k),
-    )
+    return certificates["job"]
 
 
-def theorem_scan(n: int, directed: bool, shards: int = 1) -> dict:
+def theorem_scan(n: int, directed: bool) -> dict:
     """All four extremal questions for every connectivity class in one pass.
 
     Directions follow the extremal claims: maximize rho and q, minimize
-    rhoD and qD. Returns {k: {objective: certificate}}. ``shards`` has no
-    effect.
+    rhoD and qD. Returns {k: {objective: certificate}}.
     """
     _check_budget(n, directed)
     modes = {"rho": "max", "q": "max", "rhoD": "min", "qD": "min"}
@@ -436,56 +430,24 @@ def theorem_scan(n: int, directed: bool, shards: int = 1) -> dict:
         for k in range(1, n - 1)
         for obj, mode in modes.items()
     }
-    found, examined = _run_scan(n, directed, targets)
-    refs_by_k = {k: _classification_targets(n, k, directed) for k in range(1, n - 1)}
     out: dict[int, dict[str, ExtremalCertificate]] = {}
-    for (k, obj), result in found.items():
-        if result is None:
-            continue
-        value, optimizers = result
-        out.setdefault(k, {})[obj] = ExtremalCertificate(
-            n=n,
-            k=k,
-            directed=directed,
-            objective=obj,
-            mode=modes[obj],
-            value=value,
-            optimizers=optimizers,
-            classification=_classify(optimizers, refs_by_k[k]),
-            examined=examined[k],
-            note=_scan_note(n, directed, k),
-        )
+    for (k, obj), cert in _certificates(n, directed, targets).items():
+        out.setdefault(k, {})[obj] = cert
     return out
 
 
-def bound_scan(n: int, shards: int = 1) -> dict:
+def bound_scan(n: int) -> dict:
     """Global extremes of all four objectives over strongly connected digraphs.
 
     Returns {(objective, mode): certificate}; feeds the complete-digraph /
-    directed-cycle bound verifications. ``shards`` has no effect.
+    directed-cycle bound verifications.
     """
     targets = {
         (obj, mode): (None, obj, mode)
         for obj in OBJECTIVES
         for mode in ("max", "min")
     }
-    found, examined = _run_scan(n, True, targets)
-    refs = _classification_targets(n, None, True)
-    out = {}
-    for (obj, mode), (value, optimizers) in found.items():
-        out[(obj, mode)] = ExtremalCertificate(
-            n=n,
-            k=None,
-            directed=True,
-            objective=obj,
-            mode=mode,
-            value=value,
-            optimizers=optimizers,
-            classification=_classify(optimizers, refs),
-            examined=examined[None],
-            note=_scan_note(n, True, None),
-        )
-    return out
+    return _certificates(n, True, targets)
 
 
 def enumerate_class(n: int, directed: bool, kappa: int):
@@ -536,31 +498,18 @@ class DominationEmbedding:
     witness: tuple[int, ...]
 
 
-def _strong_components(vertices, out_map) -> list[set[int]]:
-    remaining = set(vertices)
+def _strong_components(out_sets, in_sets, removed) -> list[set[int]]:
+    """The strong components of a digraph minus the ``removed`` vertices,
+    in the order of their smallest vertices: each is what its smallest
+    vertex both reaches and is reached from."""
+    n = len(out_sets)
+    remaining = set(range(n)) - removed
     comps = []
     while remaining:
         v = min(remaining)
-
-        def reach(start, mapping):
-            seen = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in mapping[u]:
-                    if w in remaining and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            return seen
-
-        fwd = reach(v, out_map)
-        rev_map = {u: set() for u in remaining}
-        for u in remaining:
-            for w in out_map[u]:
-                if w in remaining:
-                    rev_map[w].add(u)
-        bwd = reach(v, rev_map)
-        comp = fwd & bwd
+        fwd = _bfs_levels(out_sets, v, n, skip=removed)
+        bwd = _bfs_levels(in_sets, v, n, skip=removed)
+        comp = {u for u in remaining if fwd[u] >= 0 and bwd[u] >= 0}
         comps.append(comp)
         remaining -= comp
     return comps
@@ -582,20 +531,15 @@ def dominate_with_extremal(dg: Digraph) -> DominationEmbedding:
     k = vertex_connectivity(dg)
     if k == n - 1:
         raise CompleteInput("complete digraph has no vertex cut of size at most n-2")
-    out_sets = dg.out_sets()
-    cut = None
+    out_sets, in_sets = dg.out_sets(), dg.in_sets()
     for candidate in combinations(range(n), k):
-        removed = set(candidate)
-        vertices = [v for v in range(n) if v not in removed]
-        comps = _strong_components(vertices, out_sets)
+        cut = set(candidate)
+        comps = _strong_components(out_sets, in_sets, cut)
         if len(comps) > 1:
-            cut = removed
             break
-    if cut is None:  # pragma: no cover - contradicts vertex_connectivity
+    else:  # pragma: no cover - contradicts vertex_connectivity
         raise CompleteInput("no vertex cut found")
-    vertices = [v for v in range(n) if v not in cut]
-    comps = _strong_components(vertices, out_sets)
-    rest = set(vertices)
+    rest = set(range(n)) - cut
     sources = []
     for comp in comps:
         outside = rest - comp

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 from .errors import BudgetExceeded, InvalidParameters, UnknownClaim
 from .families import (
@@ -22,6 +25,7 @@ from .families import (
     KnkpDigraph,
     KnkpGraph,
     Petersen,
+    _endpoint_members,
     adjacency_blockspec,
     build,
 )
@@ -82,13 +86,6 @@ class VerificationReport:
 def _require_nk(n: int, k: int) -> None:
     if not 1 <= k <= n - 2:
         raise InvalidParameters(f"need 1 <= k <= n-2, got n={n}, k={k}")
-
-
-def _endpoint_members(fam, n, k) -> tuple:
-    members = [fam(n, k, 1)]
-    if n - k - 1 != 1:
-        members.append(fam(n, k, n - k - 1))
-    return tuple(members)
 
 
 # ---------------------------------------------------------------------------
@@ -180,25 +177,29 @@ def _distance_signless_cubic(n: int, k: int) -> Polynomial:
     )
 
 
+# the bound cubics, the p=1 specializations of the quotient cubics
+_GRAPH_BOUND_CUBICS = {
+    MatrixKind.ADJACENCY: _adjacency_cubic,
+    MatrixKind.DISTANCE: _distance_cubic,
+    MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN: _distance_signless_cubic,
+}
+
+
 def graph_bound(n: int, k: int, kind) -> BoundResult:
     """Extremal value of the objective over connected graphs with the given
-    vertex connectivity, attained by the p=1 family member."""
+    vertex connectivity, attained by the p=1 family member (and its mirror
+    p=n-k-1, which is isomorphic to it)."""
     kind = MatrixKind.coerce(kind)
     _require_nk(n, k)
-    member = (KnkpGraph(n, k, 1),)
     K = MatrixKind
-    if kind is K.ADJACENCY:
-        return BoundResult(largest_real_root(_adjacency_cubic(n, k)), member, "max")
     if kind is K.SIGNLESS_LAPLACIAN:
         value = (2 * n + k - 4 + math.sqrt((2 * n - k - 4) ** 2 + 8 * k)) / 2
-        return BoundResult(value, member, "max")
-    if kind is K.DISTANCE:
-        return BoundResult(largest_real_root(_distance_cubic(n, k)), member, "min")
-    if kind is K.DISTANCE_SIGNLESS_LAPLACIAN:
-        return BoundResult(
-            largest_real_root(_distance_signless_cubic(n, k)), member, "min"
-        )
-    raise InvalidParameters(f"no graph bound for kind {kind.value}")
+    elif kind in _GRAPH_BOUND_CUBICS:
+        value = largest_real_root(_GRAPH_BOUND_CUBICS[kind](n, k))
+    else:
+        raise InvalidParameters(f"no graph bound for kind {kind.value}")
+    sense = "max" if kind in (K.ADJACENCY, K.SIGNLESS_LAPLACIAN) else "min"
+    return BoundResult(value, _endpoint_members(KnkpGraph, n, k), sense)
 
 
 def graph_quotient_charpolys(n: int, k: int, p: int, kind) -> Polynomial:
@@ -390,30 +391,25 @@ def knkp_graph_dq_display_cubic(p: int, q: int, k: int) -> Polynomial:
 # claim catalogue
 
 
-def _check_order(order: int) -> None:
-    if order > CLAIM_ORDER_BUDGET:
-        raise BudgetExceeded(
-            f"claim matrices are capped at order {CLAIM_ORDER_BUDGET}, got {order}"
-        )
+_REQUIRED = object()  # the default of a parameter the claim cannot run without
 
 
-def _int_param(params: dict, name: str, default=None, as_tuple: bool = False):
-    """``params[name]`` (or the default) as an int, or as a tuple of ints when
-    ``as_tuple``; any other value raises InvalidParameters."""
+def _coerce(name: str, shape: type, value):
+    """``value`` as an int (shape ``int``) or as a tuple of ints (shape
+    ``tuple``); any other value raises InvalidParameters."""
 
     def to_int(item) -> int:
         return int(item) if isinstance(item, str) else operator.index(item)
 
-    value = params.get(name, default)
     try:
-        if not as_tuple:
+        if shape is int:
             return to_int(value)
         if isinstance(value, (tuple, list)):
             return tuple(to_int(item) for item in value)
     except (TypeError, ValueError):
         pass
-    shape = "a colon-separated tuple of integers such as 2:3" if as_tuple else "an integer"
-    raise InvalidParameters(f"parameter {name} must be {shape}, got {value!r}")
+    text = "a colon-separated tuple of integers such as 2:3" if shape is tuple else "an integer"
+    raise InvalidParameters(f"parameter {name} must be {text}, got {value!r}")
 
 
 def _opt_set(values: dict[int, float], mode: str, tol: float = 1e-9) -> list[int]:
@@ -421,7 +417,7 @@ def _opt_set(values: dict[int, float], mode: str, tol: float = 1e-9) -> list[int
     return sorted(p for p, v in values.items() if abs(v - target) <= tol)
 
 
-_DIGRAPH_SUBCLAIMS = {
+_SUBCLAIMS = {
     "i": (MatrixKind.ADJACENCY, "max"),
     "ii": (MatrixKind.SIGNLESS_LAPLACIAN, "max"),
     "iii": (MatrixKind.DISTANCE, "min"),
@@ -429,35 +425,86 @@ _DIGRAPH_SUBCLAIMS = {
 }
 
 
-def _handle_digraph_theorem(sub: str, params: dict) -> VerificationReport:
-    n, k = _int_param(params, "n"), _int_param(params, "k")
-    _check_order(n)
-    kind, mode = _DIGRAPH_SUBCLAIMS[sub]
-    bound = digraph_bound(n, k, kind)
+def _digraph_member(n, k, p, kind, fam, spec, full):
+    """(deviation, identities hold, quotient radius) of one digraph family
+    member: its closed-form quotient eigenvalues lie in its spectrum."""
+    closed = digraph_quotient_eigs(n, k, p, kind)
+    return full.containment_deviation(closed), True, closed.max_real()
+
+
+def _graph_member(n, k, p, kind, fam, spec, full):
+    """(deviation, identities hold, quotient radius) of one graph family
+    member: its quotient cubic is the char poly of its quotient (and, for
+    DQ, the displayed expansion; at p=1, the bound cubic up to scale); Q's
+    closed-form quotient eigenvalues lie in its spectrum."""
+    cubic = graph_quotient_charpolys(n, k, p, kind)
+    ok = cubic == char_poly(spec.quotient())
+    if kind is MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN:
+        ok &= cubic == knkp_graph_dq_display_cubic(p, fam.q, k)
+    if p == 1 and kind in _GRAPH_BOUND_CUBICS:
+        ok &= cubic.monic() == _GRAPH_BOUND_CUBICS[kind](n, k).monic()
+    if kind is MatrixKind.SIGNLESS_LAPLACIAN:
+        closed = graph_q_quotient_eigs(n, k, p)
+        return full.containment_deviation(closed), ok, closed.max_real()
+    return 0.0, ok, largest_real_root(cubic)
+
+
+# What the digraph and graph forms of the connectivity theorem differ in:
+# the family, its bound, the checks on each member, and the catalogue's
+# description and notes.
+_ConnectivityTheorem = namedtuple(
+    "_ConnectivityTheorem", "claim family bound check_member description notes"
+)
+
+_CONNECTIVITY_THEOREMS = (
+    _ConnectivityTheorem(
+        "thm4.3", KnkpDigraph, digraph_bound, _digraph_member,
+        "digraph connectivity-class {mode} of the {kind} spectral radius: "
+        "closed-form bound, quotient eigenvalues, equality members",
+        {},
+    ),
+    _ConnectivityTheorem(
+        "thm5.2", KnkpGraph, graph_bound, _graph_member,
+        "graph connectivity-class {mode} of the {kind} spectral radius: "
+        "cubic/closed-form bound, quotient polynomials, equality members",
+        {
+            "iv": "the expanded DQ bound cubic is used with linear coefficient "
+            "8n^2 - 3kn - 24n + 8k + 16; the often-printed -19kn variant "
+            "contradicts the quotient matrix and the row-sum bound"
+        },
+    ),
+)
+
+
+def _handle_connectivity_theorem(theorem, sub: str, params: dict) -> VerificationReport:
+    n, k = params["n"], params["k"]
+    kind, mode = _SUBCLAIMS[sub]
+    bound = theorem.bound(n, k, kind)
     dev = 0.0
     identities_ok = True
     values: dict[int, float] = {}
     for p in range(1, n - k):
-        fam = KnkpDigraph(n, k, p)
+        fam = theorem.family(n, k, p)
         exact = build_matrix(build(fam), kind)
         matrix = exact.to_numpy()
         full = eigenvalues(matrix)
-        closed = digraph_quotient_eigs(n, k, p, kind)
-        dev = max(dev, full.containment_deviation(closed))
         spec = adjacency_blockspec(fam, kind)
-        dev = max(dev, block_spectrum(spec).deviation(full))
-        # exact companion to the numeric comparison above
-        identities_ok &= _blockspec_charpoly(spec) == char_poly(exact)
-        values[p] = closed.max_real()
-        dev = max(dev, abs(values[p] - spectral_radius(matrix)))
+        member_dev, member_ok, values[p] = theorem.check_member(n, k, p, kind, fam, spec, full)
+        # exact companion to the numeric comparisons
+        identities_ok &= member_ok & (_blockspec_charpoly(spec) == char_poly(exact))
+        dev = max(
+            dev,
+            member_dev,
+            block_spectrum(spec).deviation(full),
+            abs(values[p] - spectral_radius(matrix)),
+        )
     claimed = sorted({member.p for member in bound.extremal_members})
     observed = _opt_set(values, mode)
-    opt_value = values[observed[0]]
-    dev = max(dev, abs(opt_value - bound.value))
+    dev = max(dev, abs(values[claimed[0]] - bound.value))
     passed = observed == claimed and identities_ok and dev <= _NUMERIC_TOL
     return VerificationReport(
-        claim_id=f"thm4.3.{sub}",
-        params={"n": n, "k": k},
+        claim_id=f"{theorem.claim}.{sub}",
+        params=params,
         passed=passed,
         max_deviation=dev,
         details={
@@ -472,79 +519,16 @@ def _handle_digraph_theorem(sub: str, params: dict) -> VerificationReport:
     )
 
 
-def _handle_graph_theorem(sub: str, params: dict) -> VerificationReport:
-    n, k = _int_param(params, "n"), _int_param(params, "k")
-    _check_order(n)
-    kind, mode = _DIGRAPH_SUBCLAIMS[sub]
-    bound = graph_bound(n, k, kind)
-    dev = 0.0
-    identities_ok = True
-    values: dict[int, float] = {}
-    for p in range(1, n - k):
-        fam = KnkpGraph(n, k, p)
-        exact = build_matrix(build(fam), kind)
-        matrix = exact.to_numpy()
-        full = eigenvalues(matrix)
-        cubic = graph_quotient_charpolys(n, k, p, kind)
-        spec = adjacency_blockspec(fam, kind)
-        identities_ok &= cubic == char_poly(spec.quotient())
-        identities_ok &= _blockspec_charpoly(spec) == char_poly(exact)
-        if kind is MatrixKind.SIGNLESS_LAPLACIAN:
-            closed = graph_q_quotient_eigs(n, k, p)
-            dev = max(dev, full.containment_deviation(closed))
-            values[p] = closed.max_real()
-        else:
-            values[p] = largest_real_root(cubic)
-        if kind is MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN:
-            identities_ok &= cubic == knkp_graph_dq_display_cubic(p, fam.q, k)
-        dev = max(dev, block_spectrum(spec).deviation(full))
-        dev = max(dev, abs(values[p] - spectral_radius(matrix)))
-    # p=1 specializations of the parametrized cubics
-    if kind is MatrixKind.ADJACENCY:
-        identities_ok &= graph_quotient_charpolys(n, k, 1, kind) == _adjacency_cubic(n, k)
-    if kind is MatrixKind.DISTANCE:
-        identities_ok &= graph_quotient_charpolys(n, k, 1, kind) == _distance_cubic(n, k)
-    if kind is MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN:
-        identities_ok &= (
-            graph_quotient_charpolys(n, k, 1, kind).monic()
-            == _distance_signless_cubic(n, k).monic()
-        )
-    claimed = sorted({1, n - k - 1})  # p=1 and its mirror are isomorphic
-    observed = _opt_set(values, mode)
-    dev = max(dev, abs(values[1] - bound.value))
-    passed = observed == claimed and identities_ok and dev <= _NUMERIC_TOL
-    return VerificationReport(
-        claim_id=f"thm5.2.{sub}",
-        params={"n": n, "k": k},
-        passed=passed,
-        max_deviation=dev,
-        details={
-            "kind": kind.value,
-            "bound": bound.value,
-            "sense": bound.sense,
-            "values_by_p": {str(p): v for p, v in values.items()},
-            "claimed_extremal_p": claimed,
-            "observed_extremal_p": observed,
-            "polynomial_identities": identities_ok,
-        },
-    )
-
-
-def _handle_laplacian_spectra(claim_id, directed, sub, params) -> VerificationReport:
-    n, k, p = (_int_param(params, name) for name in ("n", "k", "p"))
-    _check_order(n)
+def _handle_laplacian_spectra(claim_id, family, spectra, sub, params) -> VerificationReport:
+    n, k, p = params["n"], params["k"], params["p"]
     kind = MatrixKind.LAPLACIAN if sub == "i" else MatrixKind.DISTANCE_LAPLACIAN
-    if directed:
-        fam = KnkpDigraph(n, k, p)
-        closed = digraph_laplacian_spectra(n, k, p, kind)
-    else:
-        fam = KnkpGraph(n, k, p)
-        closed = graph_laplacian_spectra(n, k, p, kind)
+    fam = family(n, k, p)
+    closed = spectra(n, k, p, kind)
     numeric = eigenvalues(build_matrix(build(fam), kind).to_numpy())
     dev = closed.deviation(numeric)
     return VerificationReport(
         claim_id=claim_id,
-        params={"n": n, "k": k, "p": p},
+        params=params,
         passed=dev <= _NUMERIC_TOL,
         max_deviation=dev,
         details={
@@ -594,7 +578,7 @@ def _handle_petersen(params: dict) -> VerificationReport:
     passed = quotients_exact and negative_ok and dev <= _NUMERIC_TOL
     return VerificationReport(
         claim_id="ex3.3",
-        params={},
+        params=params,
         passed=passed,
         max_deviation=dev,
         details={
@@ -625,31 +609,30 @@ _CLIQUESTAR_NOTES = {
 }
 
 
-def _handle_factored_charpoly(family: str, item: str, params: dict) -> VerificationReport:
+# claim -> (parameter, family, factored and displayed char polys, name, notes)
+_FACTORED_CHARPOLYS = {
+    "ex3.5": (
+        "parts", CompleteMultipartite, multipartite_charpoly, multipartite_display_charpoly,
+        "complete multipartite", {},
+    ),
+    "ex3.6": (
+        "sizes", CliqueStar, cliquestar_charpoly, cliquestar_display_charpoly,
+        "clique star", _CLIQUESTAR_NOTES,
+    ),
+}
+
+
+def _handle_factored_charpoly(claim: str, item: str, params: dict) -> VerificationReport:
     kind = _ITEM_KINDS[item]
-    if family == "ex3.5":
-        parts = _int_param(params, "parts", as_tuple=True)
-        fam = CompleteMultipartite(parts)
-        _check_order(sum(parts))
-        factored = multipartite_charpoly(parts, kind)
-        display = multipartite_display_charpoly(parts, kind)
-        matrix = build_matrix(build(fam), kind)
-        key = {"parts": list(parts)}
-        note = ""
-    else:
-        sizes = _int_param(params, "sizes", as_tuple=True)
-        fam = CliqueStar(sizes)
-        _check_order(fam.n)
-        factored = cliquestar_charpoly(sizes, kind)
-        display = cliquestar_display_charpoly(sizes, kind)
-        matrix = build_matrix(build(fam), kind)
-        key = {"sizes": list(sizes)}
-        note = _CLIQUESTAR_NOTES.get(item, "")
-    direct = char_poly(matrix)
+    name, family, factored_charpoly, display_charpoly, _, _ = _FACTORED_CHARPOLYS[claim]
+    values = params[name]
+    factored = factored_charpoly(values, kind)
+    display = display_charpoly(values, kind)
+    direct = char_poly(build_matrix(build(family(values)), kind))
     exact = factored == direct and display == direct
     return VerificationReport(
-        claim_id=f"{family}.{item}",
-        params=key,
+        claim_id=f"{claim}.{item}",
+        params=params,
         passed=exact,
         max_deviation=0.0 if exact else math.inf,
         details={
@@ -658,7 +641,6 @@ def _handle_factored_charpoly(family: str, item: str, params: dict) -> Verificat
             "display_equals_direct": display == direct,
             "coefficients": direct.coefficient_strings(),
         },
-        note=note,
     )
 
 
@@ -666,8 +648,8 @@ def _handle_corollary_bounds(claim_id: str, params: dict) -> VerificationReport:
     from .families import BidirectedComplete, DirectedCycle
     from .search import bound_scan, labeled_isomorph_masks  # heavy import kept local
 
-    n = _int_param(params, "n")
-    certificates = bound_scan(n, shards=_int_param(params, "shards", 1))
+    n = params["n"]
+    certificates = bound_scan(n)
     if claim_id == "cor2.5":
         expected_masks = labeled_isomorph_masks(build(BidirectedComplete(n)))
         expectations = {
@@ -699,7 +681,7 @@ def _handle_corollary_bounds(claim_id: str, params: dict) -> VerificationReport:
     passed = sets_exact and dev <= _NUMERIC_TOL
     return VerificationReport(
         claim_id=claim_id,
-        params={"n": n},
+        params=params,
         passed=passed,
         max_deviation=dev,
         details={"checks": detail, "equality_sets_exact": sets_exact},
@@ -710,11 +692,8 @@ def _handle_corollary_bounds(claim_id: str, params: dict) -> VerificationReport:
 def _handle_block_spectrum_random(params: dict) -> VerificationReport:
     from .search import _check_probe_parameters, _probe_chunks
 
-    trials = _int_param(params, "trials", 1000)
-    seed = _int_param(params, "seed", 0)
-    t_max = _int_param(params, "t_max", 4)
-    n_max = _int_param(params, "n_max", 20)
-    n_range, t_range = (1, n_max), (1, t_max)
+    trials, seed = params["trials"], params["seed"]
+    n_range, t_range = (1, params["n_max"]), (1, params["t_max"])
     _check_probe_parameters(trials, n_range, t_range)
     dev = 0.0
     for chunk in _probe_chunks(trials, seed, n_range, t_range, (-5, 5)):
@@ -725,7 +704,7 @@ def _handle_block_spectrum_random(params: dict) -> VerificationReport:
             dev = max(dev, _lifted_spectrum(sizes, p, b_vals).deviation(numeric))
     return VerificationReport(
         claim_id="lem3.4.random",
-        params={"trials": trials, "seed": seed, "t_max": t_max, "n_max": n_max},
+        params=params,
         passed=dev <= _NUMERIC_TOL,
         max_deviation=dev,
         details={},
@@ -734,90 +713,75 @@ def _handle_block_spectrum_random(params: dict) -> VerificationReport:
 
 @dataclass(frozen=True)
 class ClaimEntry:
+    """A catalogued claim: its handler and the parameters it takes.
+
+    ``params`` lists each parameter as (name, shape, default): shape
+    ``int``, or ``tuple`` for a tuple of ints (``2:3`` on the command line);
+    the default ``_REQUIRED`` marks one the claim needs. ``order`` maps the
+    coerced parameters to the order of the matrices the claim builds, which
+    ``verify_claim`` holds to ``CLAIM_ORDER_BUDGET``; a claim without one
+    bounds its work itself.
+    """
+
     description: str
-    required: tuple[str, ...]
-    handler: object
+    handler: Callable[[dict], VerificationReport]
+    params: tuple[tuple[str, type, object], ...] = ()
+    order: Callable[[dict], int] | None = None
     note: str = ""
-    optional: tuple[str, ...] = ()
+
+
+def _member_order(family: type, name: str, params: dict) -> int:
+    return family(params[name]).n
 
 
 def _catalogue() -> dict[str, ClaimEntry]:
     claims: dict[str, ClaimEntry] = {}
-    for sub in _DIGRAPH_SUBCLAIMS:
-        kind, mode = _DIGRAPH_SUBCLAIMS[sub]
-        claims[f"thm4.3.{sub}"] = ClaimEntry(
-            description=(
-                f"digraph connectivity-class {mode} of the {kind.value} spectral "
-                f"radius: closed-form bound, quotient eigenvalues, equality members"
-            ),
-            required=("n", "k"),
-            handler=lambda params, s=sub: _handle_digraph_theorem(s, params),
-        )
-        claims[f"thm5.2.{sub}"] = ClaimEntry(
-            description=(
-                f"graph connectivity-class {mode} of the {kind.value} spectral "
-                f"radius: cubic/closed-form bound, quotient polynomials, equality members"
-            ),
-            required=("n", "k"),
-            handler=lambda params, s=sub: _handle_graph_theorem(s, params),
-            note=(
-                "the expanded DQ bound cubic is used with linear coefficient "
-                "8n^2 - 3kn - 24n + 8k + 16; the often-printed -19kn variant "
-                "contradicts the quotient matrix and the row-sum bound"
-                if sub == "iv"
-                else ""
-            ),
-        )
+    n_k = (("n", int, _REQUIRED), ("k", int, _REQUIRED))
+    order_n = operator.itemgetter("n")
+    for sub, (kind, mode) in _SUBCLAIMS.items():
+        for theorem in _CONNECTIVITY_THEOREMS:
+            claims[f"{theorem.claim}.{sub}"] = ClaimEntry(
+                description=theorem.description.format(mode=mode, kind=kind.value),
+                handler=partial(_handle_connectivity_theorem, theorem, sub),
+                params=n_k,
+                order=order_n,
+                note=theorem.notes.get(sub, ""),
+            )
     for sub in ("i", "ii"):
         kind = "L" if sub == "i" else "DL"
-        claims[f"prop4.4.{sub}"] = ClaimEntry(
-            description=f"digraph family {kind} spectrum closed form",
-            required=("n", "k", "p"),
-            handler=lambda params, s=sub: _handle_laplacian_spectra(
-                f"prop4.4.{s}", True, s, params
-            ),
-        )
-        claims[f"prop5.2.{sub}"] = ClaimEntry(
-            description=f"graph family {kind} spectrum closed form",
-            required=("n", "k", "p"),
-            handler=lambda params, s=sub: _handle_laplacian_spectra(
-                f"prop5.2.{s}", False, s, params
-            ),
-        )
+        for claim, family, spectra, word in (
+            ("prop4.4", KnkpDigraph, digraph_laplacian_spectra, "digraph"),
+            ("prop5.2", KnkpGraph, graph_laplacian_spectra, "graph"),
+        ):
+            claims[f"{claim}.{sub}"] = ClaimEntry(
+                description=f"{word} family {kind} spectrum closed form",
+                handler=partial(_handle_laplacian_spectra, f"{claim}.{sub}", family, spectra, sub),
+                params=n_k + (("p", int, _REQUIRED),),
+                order=order_n,
+            )
     claims["ex3.3"] = ClaimEntry(
         description="Petersen table: six quotient matrices and six spectral radii",
-        required=(),
-        handler=lambda params: _handle_petersen(params),
+        handler=_handle_petersen,
     )
-    for item, kind in _ITEM_KINDS.items():
-        claims[f"ex3.5.{item}"] = ClaimEntry(
-            description=f"complete multipartite factored char poly, kind {kind.value}",
-            required=("parts",),
-            handler=lambda params, it=item: _handle_factored_charpoly("ex3.5", it, params),
+    for claim, (name, family, _, _, family_name, notes) in _FACTORED_CHARPOLYS.items():
+        for item, kind in _ITEM_KINDS.items():
+            claims[f"{claim}.{item}"] = ClaimEntry(
+                description=f"{family_name} factored char poly, kind {kind.value}",
+                handler=partial(_handle_factored_charpoly, claim, item),
+                params=((name, tuple, _REQUIRED),),
+                order=partial(_member_order, family, name),
+                note=notes.get(item, ""),
+            )
+    for claim, extremes in (("cor2.5", "complete-digraph"), ("cor2.6", "directed-cycle")):
+        claims[claim] = ClaimEntry(
+            description=f"{extremes} extremes of all four objectives, full enumeration",
+            handler=partial(_handle_corollary_bounds, claim),
+            params=(("n", int, _REQUIRED),),
         )
-        claims[f"ex3.6.{item}"] = ClaimEntry(
-            description=f"clique star factored char poly, kind {kind.value}",
-            required=("sizes",),
-            handler=lambda params, it=item: _handle_factored_charpoly("ex3.6", it, params),
-            note=_CLIQUESTAR_NOTES.get(item, ""),
-        )
-    claims["cor2.5"] = ClaimEntry(
-        description="complete-digraph extremes of all four objectives, full enumeration",
-        required=("n",),
-        optional=("shards",),
-        handler=lambda params: _handle_corollary_bounds("cor2.5", params),
-    )
-    claims["cor2.6"] = ClaimEntry(
-        description="directed-cycle extremes of all four objectives, full enumeration",
-        required=("n",),
-        optional=("shards",),
-        handler=lambda params: _handle_corollary_bounds("cor2.6", params),
-    )
     claims["lem3.4.random"] = ClaimEntry(
         description="randomized block-spectrum identity over structured matrices",
-        required=(),
-        optional=("trials", "seed", "t_max", "n_max"),
-        handler=lambda params: _handle_block_spectrum_random(params),
+        handler=_handle_block_spectrum_random,
+        params=(("trials", int, 1000), ("seed", int, 0), ("t_max", int, 4), ("n_max", int, 20)),
     )
     return claims
 
@@ -830,31 +794,41 @@ def claim_ids() -> tuple[str, ...]:
 
 
 def verify_claim(claim_id: str, params: dict | None = None) -> VerificationReport:
-    """Run the registered verifier for a catalogued claim id."""
+    """Run the registered verifier for a catalogued claim id.
+
+    The parameters are checked against the claim's schema once, in this
+    order: missing names, unknown names, each value's shape, then the order
+    of the matrices the claim would build. The handler gets them coerced,
+    with every default filled in.
+    """
     if claim_id not in CLAIMS:
         raise UnknownClaim(
             f"unknown claim {claim_id!r}; known ids: {', '.join(claim_ids())}"
         )
     entry = CLAIMS[claim_id]
-    params = dict(params or {})
-    missing = [name for name in entry.required if name not in params]
+    params = params or {}
+    missing = [
+        name for name, _, default in entry.params if default is _REQUIRED and name not in params
+    ]
     if missing:
         raise InvalidParameters(
             f"claim {claim_id} needs parameters: {', '.join(missing)}"
         )
-    unknown = sorted(set(params) - set(entry.required) - set(entry.optional))
+    unknown = sorted(set(params).difference(name for name, _, _ in entry.params))
     if unknown:
         raise InvalidParameters(
             f"claim {claim_id} takes no parameters named: {', '.join(unknown)}"
         )
-    report = entry.handler(params)
-    if entry.note and not report.note:
-        report = VerificationReport(
-            claim_id=report.claim_id,
-            params=report.params,
-            passed=report.passed,
-            max_deviation=report.max_deviation,
-            details=report.details,
-            note=entry.note,
+    coerced = {
+        name: _coerce(name, shape, params.get(name, default))
+        for name, shape, default in entry.params
+    }
+    order = entry.order(coerced) if entry.order else 0
+    if order > CLAIM_ORDER_BUDGET:
+        raise BudgetExceeded(
+            f"claim matrices are capped at order {CLAIM_ORDER_BUDGET}, got {order}"
         )
+    report = entry.handler(coerced)
+    if entry.note and not report.note:
+        report = replace(report, note=entry.note)
     return report

@@ -135,6 +135,39 @@ def strongly_connected_warshall(dg: Digraph) -> bool:
     return all(all(row) for row in reach)
 
 
+def strong_components(vertices, out_map) -> list[set[int]]:
+    """Strong components of the digraph induced on ``vertices``, in the
+    order of their smallest vertices, by depth-first search forwards and
+    backwards from the smallest vertex not yet placed."""
+    remaining = set(vertices)
+    comps = []
+    while remaining:
+        v = min(remaining)
+
+        def reach(start, mapping):
+            seen = {start}
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for w in mapping[u]:
+                    if w in remaining and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            return seen
+
+        fwd = reach(v, out_map)
+        rev_map = {u: set() for u in remaining}
+        for u in remaining:
+            for w in out_map[u]:
+                if w in remaining:
+                    rev_map[w].add(u)
+        bwd = reach(v, rev_map)
+        comp = fwd & bwd
+        comps.append(comp)
+        remaining -= comp
+    return comps
+
+
 def _max_flow(capacity: dict, source: int, sink: int, nodes: int) -> int:
     """Edmonds-Karp on an integer-capacity adjacency dict."""
     flow = 0

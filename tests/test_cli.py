@@ -224,7 +224,7 @@ def test_bad_probe_parameters_are_usage_errors(run, argv, message):
         (["verify", "thm4.3.i", "--params", "n=abc,k=1"], "n must be an integer"),
         (["verify", "ex3.5.1", "--params", "parts=2"], "parts must be a colon-separated"),
         (["verify", "ex3.5.1", "--params", "parts=2:x"], "parts must be a colon-separated"),
-        (["verify", "cor2.5", "--params", "n=4,shards=x"], "shards must be an integer"),
+        (["verify", "cor2.5", "--params", "n=4,shards=1"], "no parameters named: shards"),
         (["verify", "ex3.3", "--params", "bogus=3"], "no parameters named: bogus"),
         (["verify", "lem3.4.random", "--params", "trails=5"], "no parameters named: trails"),
         (["verify", "thm4.3.i", "--params", "n=400,k=1"], "capped at order 32, got 400"),
@@ -338,6 +338,15 @@ def test_output_deterministic_across_runs(run, petersen_file):
 def test_usage_error_exit_code(run):
     code, _, _ = run(["scan", "--n", "4"])
     assert code == 2
+
+
+def test_scan_rejects_shards(run):
+    code, out, err = run(
+        ["scan", "--n", "4", "--objective", "qD", "--mode", "min", "--shards", "2"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --shards 2" in err
 
 
 def test_missing_file_is_input_error(run):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 from oracles import (
@@ -13,6 +14,7 @@ from oracles import (
     probe_gaps,
     random_blockspec,
     relabeled_masks,
+    strong_components,
 )
 
 from eqspec import search
@@ -39,6 +41,7 @@ from eqspec.search import (
     PROBE_ORDER_BUDGET,
     ScanJob,
     _probe_chunks,
+    _strong_components,
     _orbits,
     conjecture_search,
     dominate_with_extremal,
@@ -197,15 +200,10 @@ def test_scan_undirected_matches_bound():
     assert set(cert.optimizers) == set(target)
 
 
-def test_scan_shard_independence():
-    jobs = [
-        ScanJob(n=4, k=2, directed=False, objective="qD", mode="min", shards=s)
-        for s in (1, 3)
-    ]
-    certs = [extremal_scan(job) for job in jobs]
-    assert certs[0].value == certs[1].value
-    assert certs[0].optimizers == certs[1].optimizers
-    assert certs[0].examined == certs[1].examined
+def test_scan_job_takes_no_shards_or_seed():
+    for name in ("shards", "seed"):
+        with pytest.raises(TypeError, match=name):
+            ScanJob(n=4, k=2, directed=False, objective="qD", mode="min", **{name: 1})
 
 
 def test_theorem_scan_small_undirected():
@@ -224,6 +222,18 @@ def test_scan_certificate_note_mentions_scope():
 
 # ---------------------------------------------------------------------------
 # completion embedding
+
+
+def test_strong_components_match_the_dfs_oracle():
+    n = 4
+    removals = [set(cut) for size in range(3) for cut in combinations(range(n), size)]
+    for mask in range(1 << len(pair_table(n, True))):
+        dg = graph_from_mask(n, mask, True)
+        out_sets, in_sets = dg.out_sets(), dg.in_sets()
+        for removed in removals:
+            vertices = [v for v in range(n) if v not in removed]
+            expected = strong_components(vertices, out_sets)
+            assert _strong_components(out_sets, in_sets, removed) == expected
 
 
 def test_dominate_fixed_point():

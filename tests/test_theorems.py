@@ -140,6 +140,12 @@ def test_graph_bound_adjacency_cubic_against_bisection():
     assert graph_bound(6, 2, "A").value == pytest.approx(oracle, abs=1e-10)
 
 
+def test_graph_bound_lists_both_isomorphic_endpoint_members():
+    # p=1 and its mirror p=n-k-1 are isomorphic; they coincide at k=n-2
+    assert graph_bound(6, 2, "D").extremal_members == (KnkpGraph(6, 2, 1), KnkpGraph(6, 2, 3))
+    assert graph_bound(6, 4, "DQ").extremal_members == (KnkpGraph(6, 4, 1),)
+
+
 def test_graph_adjacency_bound_below_complete_graph():
     for n in range(4, 12):
         for k in range(1, n - 2):
@@ -306,6 +312,7 @@ def test_verify_laplacian_spectra_claims():
     [
         ("thm4.3.i", {"n": 5, "k": 1, "p": 1}),
         ("cor2.5", {"n": 3, "seed": 1}),
+        ("cor2.6", {"n": 3, "shards": 2}),
     ],
 )
 def test_verify_rejects_unknown_parameter_names(claim_id, params):
@@ -318,7 +325,8 @@ def test_verify_accepts_optional_parameter_names():
         "lem3.4.random", {"trials": 2, "seed": 1, "t_max": 2, "n_max": 4}
     )
     assert report.params == {"trials": 2, "seed": 1, "t_max": 2, "n_max": 4}
-    assert verify_claim("cor2.6", {"n": 3, "shards": 2}).passed
+    defaults = verify_claim("lem3.4.random").params
+    assert defaults == {"trials": 1000, "seed": 0, "t_max": 4, "n_max": 20}
 
 
 @pytest.mark.parametrize("seed, passed", [(7, True), (10, False), (11, False)])
