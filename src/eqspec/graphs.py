@@ -218,22 +218,14 @@ def build_matrix(obj, kind) -> ExactMatrix:
         )
 
     dist = distance_matrix(obj)
-    tr = dist.row_sums()
     if kind is MatrixKind.DISTANCE:
         return dist
-    if kind is MatrixKind.DISTANCE_LAPLACIAN:
-        return ExactMatrix(
-            [
-                [tr[i] - dist[i, j] if i == j else -dist[i, j] for j in range(n)]
-                for i in range(n)
-            ]
-        )
-    return ExactMatrix(
-        [
-            [tr[i] + dist[i, j] if i == j else dist[i, j] for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    # the diagonal is each row's transmission, since dist[i, i] = 0
+    sign = -1 if kind is MatrixKind.DISTANCE_LAPLACIAN else 1
+    rows = [[sign * d for d in row] for row in dist.rows]
+    for i, row in enumerate(dist.rows):
+        rows[i][i] = sum(row)
+    return ExactMatrix(rows)
 
 
 def _still_connected_without(adj, removed: frozenset, n: int, directed: bool, rev=None) -> bool:

@@ -41,13 +41,20 @@ def _normalize_scalar(x) -> Scalar:
     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
 
 
+def _normalize_scalars(xs) -> tuple:
+    """``xs`` as a tuple of normalized scalars; all-``int`` input (not
+    ``bool``) passes straight through."""
+    xs = tuple(xs)
+    return xs if set(map(type, xs)) <= {int} else tuple(map(_normalize_scalar, xs))
+
+
 class ExactMatrix:
     """Square matrix with exact integer or rational entries."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(_normalize_scalar(x) for x in row) for row in rows)
+        rows = tuple(map(_normalize_scalars, rows))
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise DimensionMismatch("ExactMatrix must be square and nonempty")
@@ -144,7 +151,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [_normalize_scalar(c) for c in coeffs]
+        cs = list(_normalize_scalars(coeffs))
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:

@@ -17,6 +17,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from .errors import BudgetExceeded, InvalidParameters, UnknownClaim
 from .families import (
     CliqueStar,
@@ -35,6 +37,7 @@ from .linalg import (
     Spectrum,
     char_poly,
     eigenvalues,
+    eigvals_stack,
     largest_real_root,
     spectral_radius,
 )
@@ -42,7 +45,6 @@ from .quotient import (
     BlockSpec,
     Partition,
     _lifted_spectrum,
-    block_spectrum,
     quotient_matrix,
     stacked_spectra,
 )
@@ -258,13 +260,19 @@ def graph_laplacian_spectra(n: int, k: int, p: int, kind) -> Spectrum:
 # factored characteristic polynomials
 
 
+def _lifted_charpoly(sizes, p, quotient_poly: Polynomial) -> Polynomial:
+    """The quotient's characteristic polynomial times (x - p_i)^(n_i - 1) for
+    every block, one linear factor at a time on a plain coefficient list."""
+    coeffs = list(quotient_poly.coeffs)
+    for p_i, size in zip(p, sizes):
+        for _ in range(size - 1):
+            coeffs = [a - p_i * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    return Polynomial(coeffs)
+
+
 def _blockspec_charpoly(spec: BlockSpec) -> Polynomial:
     """Quotient characteristic polynomial times the repeated linear factors."""
-    poly = char_poly(spec.quotient())
-    for p_i, size in zip(spec.p, spec.sizes):
-        if size > 1:
-            poly = poly * (Polynomial.linear(p_i) ** (size - 1))
-    return poly
+    return _lifted_charpoly(spec.sizes, spec.p, char_poly(spec.quotient()))
 
 
 def multipartite_charpoly(parts, kind) -> Polynomial:
@@ -425,20 +433,22 @@ _SUBCLAIMS = {
 }
 
 
-def _digraph_member(n, k, p, kind, fam, spec, full):
+def _digraph_member(n, k, p, kind, fam, b_poly, full):
     """(deviation, identities hold, quotient radius) of one digraph family
     member: its closed-form quotient eigenvalues lie in its spectrum."""
     closed = digraph_quotient_eigs(n, k, p, kind)
     return full.containment_deviation(closed), True, closed.max_real()
 
 
-def _graph_member(n, k, p, kind, fam, spec, full):
+def _graph_member(n, k, p, kind, fam, b_poly, full):
     """(deviation, identities hold, quotient radius) of one graph family
-    member: its quotient cubic is the char poly of its quotient (and, for
-    DQ, the displayed expansion; at p=1, the bound cubic up to scale); Q's
-    closed-form quotient eigenvalues lie in its spectrum."""
-    cubic = graph_quotient_charpolys(n, k, p, kind)
-    ok = cubic == char_poly(spec.quotient())
+    member, given the char poly of its quotient B: its quotient cubic is
+    that poly (and, for DQ, the displayed expansion; at p=1, the bound cubic
+    up to scale); Q's closed-form quotient eigenvalues lie in its spectrum."""
+    # Q's and DQ's quotient cubic is char_poly(B) itself
+    explicit = kind in (MatrixKind.ADJACENCY, MatrixKind.DISTANCE)
+    cubic = graph_quotient_charpolys(n, k, p, kind) if explicit else b_poly
+    ok = cubic == b_poly
     if kind is MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN:
         ok &= cubic == knkp_graph_dq_display_cubic(p, fam.q, k)
     if p == 1 and kind in _GRAPH_BOUND_CUBICS:
@@ -480,23 +490,26 @@ def _handle_connectivity_theorem(theorem, sub: str, params: dict) -> Verificatio
     n, k = params["n"], params["k"]
     kind, mode = _SUBCLAIMS[sub]
     bound = theorem.bound(n, k, kind)
-    dev = 0.0
-    identities_ok = True
-    values: dict[int, float] = {}
+    members = []  # (p, family member, exact matrix, its BlockSpec, exact quotient)
     for p in range(1, n - k):
         fam = theorem.family(n, k, p)
-        exact = build_matrix(build(fam), kind)
-        matrix = exact.to_numpy()
-        full = eigenvalues(matrix)
         spec = adjacency_blockspec(fam, kind)
-        member_dev, member_ok, values[p] = theorem.check_member(n, k, p, kind, fam, spec, full)
+        members.append((p, fam, build_matrix(build(fam), kind), spec, spec.quotient()))
+    # one solver call per stack: the members' matrices, then their quotients
+    full_values = eigvals_stack(np.stack([exact.to_numpy() for _, _, exact, _, _ in members]))
+    quotient_values = eigvals_stack(np.stack([b.to_numpy() for *_, b in members]))
+    dev, identities_ok, values = 0.0, True, {}
+    for (p, fam, exact, spec, b), m_vals, b_vals in zip(members, full_values, quotient_values):
+        full, b_poly = Spectrum.from_values(m_vals), char_poly(b)
+        member_dev, member_ok, values[p] = theorem.check_member(n, k, p, kind, fam, b_poly, full)
         # exact companion to the numeric comparisons
-        identities_ok &= member_ok & (_blockspec_charpoly(spec) == char_poly(exact))
+        lifted = _lifted_charpoly(spec.sizes, spec.p, b_poly)
+        identities_ok &= member_ok & (lifted == char_poly(exact))
         dev = max(
             dev,
             member_dev,
-            block_spectrum(spec).deviation(full),
-            abs(values[p] - spectral_radius(matrix)),
+            _lifted_spectrum(spec.sizes, spec.p, b_vals).deviation(full),
+            abs(values[p] - float(np.max(np.abs(m_vals)))),
         )
     claimed = sorted({member.p for member in bound.extremal_members})
     observed = _opt_set(values, mode)

@@ -134,6 +134,36 @@ def test_distance_matrix_against_floyd_warshall():
         checked += 1
 
 
+def _distance_kind_by_entry(obj, kind):
+    """DL or DQ entry by entry from ``distance_matrix`` and its row sums."""
+    dist = distance_matrix(obj)
+    tr, n = dist.row_sums(), obj.n
+    if kind == "DL":
+        return [[tr[i] - dist[i, j] if i == j else -dist[i, j] for j in range(n)] for i in range(n)]
+    return [[tr[i] + dist[i, j] if i == j else dist[i, j] for j in range(n)] for i in range(n)]
+
+
+def test_distance_laplacians_equal_entrywise_oracle():
+    rng = random.Random(41)
+    objs = [build(Petersen())]
+    objs += [build(KnkpGraph(9, 3, p)) for p in range(1, 6)]
+    objs += [build(KnkpDigraph(8, 2, p)) for p in range(1, 6)]
+    while len(objs) < 40:
+        if len(objs) % 2:
+            obj = _random_graph(rng, rng.randint(1, 9))
+            connected = is_connected(obj)
+        else:
+            obj = _random_digraph(rng, rng.randint(1, 7))
+            connected = is_strongly_connected(obj)
+        if connected:
+            objs.append(obj)
+    for obj in objs:
+        for kind in ("DL", "DQ"):
+            built = build_matrix(obj, kind)
+            assert [list(row) for row in built.rows] == _distance_kind_by_entry(obj, kind)
+            assert all(type(x) is int for row in built.rows for x in row)
+
+
 def test_transmissions_examples():
     assert transmissions(build(DirectedCycle(5))) == (10,) * 5
     assert transmissions(Graph(2, [(0, 1)])) == (1, 1)

@@ -53,6 +53,42 @@ def _random_exact(rng, n, lo=-3, hi=3):
 
 
 # ---------------------------------------------------------------------------
+# exact scalars
+
+
+@pytest.mark.parametrize(
+    "entries, expected",
+    [
+        ((True, False), (1, 0)),
+        ((Fraction(4, 2), 3), (2, 3)),
+        ((Fraction(1, 2), True), (Fraction(1, 2), 1)),
+        ((-7, 0), (-7, 0)),
+    ],
+)
+def test_exact_constructors_normalize_scalars(entries, expected):
+    matrix = ExactMatrix([entries, entries])
+    assert matrix.rows == (expected, expected)
+    assert [type(x) for x in matrix.rows[0]] == [type(x) for x in expected]
+    poly = Polynomial(entries + (1,))
+    assert poly.coeffs == expected + (1,)
+    assert [type(c) for c in poly.coeffs] == [type(c) for c in expected + (1,)]
+
+
+@pytest.mark.parametrize("bad", [1.0, np.int64(2), "3", None])
+def test_exact_constructors_reject_inexact_scalars(bad):
+    with pytest.raises(TypeError):
+        ExactMatrix([[1, bad], [0, 1]])
+    with pytest.raises(TypeError):
+        Polynomial([1, bad])
+
+
+def test_exact_constructors_take_generator_rows():
+    matrix = ExactMatrix((x for x in row) for row in ((1, 2), (3, 4)))
+    assert matrix.rows == ((1, 2), (3, 4))
+    assert Polynomial(c for c in (1, 2, 0)).coeffs == (1, 2)
+
+
+# ---------------------------------------------------------------------------
 # characteristic polynomial
 
 

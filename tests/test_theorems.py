@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -39,7 +40,11 @@ from eqspec.theorems import (
     verify_claim,
 )
 
-from oracles import bisection_largest_root, block_spectrum_max_deviation
+from oracles import (
+    bisection_largest_root,
+    block_spectrum_max_deviation,
+    connectivity_theorem_report,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +362,59 @@ def test_claim_order_budget_is_the_built_matrix_order(
     assert verify_claim(claim_id, admitted).passed
     with pytest.raises(BudgetExceeded, match="capped at order 5, got 6"):
         verify_claim(claim_id, refused)
+
+
+_CONNECTIVITY_CLAIMS = [
+    f"{theorem}.{sub}" for theorem in ("thm4.3", "thm5.2") for sub in ("i", "ii", "iii", "iv")
+]
+
+
+def _assert_report_equals_member_loop(claim_id, n, k):
+    mine = verify_claim(claim_id, {"n": n, "k": k})
+    oracle = connectivity_theorem_report(*claim_id.rsplit(".", 1), n, k)
+    assert mine.to_json() == oracle.to_json(), (claim_id, n, k)
+    assert mine.max_deviation.hex() == oracle.max_deviation.hex(), (claim_id, n, k)
+    hexes = [{p: v.hex() for p, v in r.details["values_by_p"].items()} for r in (mine, oracle)]
+    assert hexes[0] == hexes[1], (claim_id, n, k)
+
+
+@pytest.mark.parametrize("claim_id", _CONNECTIVITY_CLAIMS)
+def test_connectivity_theorem_equals_member_loop_oracle(claim_id):
+    for n in range(3, 11):
+        for k in range(1, n - 1):
+            _assert_report_equals_member_loop(claim_id, n, k)
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+@pytest.mark.parametrize("claim_id", _CONNECTIVITY_CLAIMS)
+def test_connectivity_theorem_equals_member_loop_oracle_large(claim_id, n):
+    for k in sorted({1, n // 2, n - 2}):
+        _assert_report_equals_member_loop(claim_id, n, k)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="at p=5 a quotient eigenvalue equals p_i = 12, a defective eigenvalue of "
+    "multiplicity 7 in a non-symmetric Q; its numeric deviation 1.248e-7 exceeds the "
+    "absolute 1e-7 tolerance although every exact identity holds",
+)
+def test_digraph_signless_laplacian_claim_at_order_14_passes():
+    assert verify_claim("thm4.3.ii", {"n": 14, "k": 2}).passed
+
+
+@pytest.mark.parametrize(
+    "quotient, sizes, p",
+    [
+        (Polynomial([-3024, 648, -45, 1]), (5, 2, 7), (12, 12, 7)),
+        (Polynomial([2, -3, 1]), (1, 4), (0, -2)),
+        (Polynomial([Fraction(-1, 3), 1]), (1,), (Fraction(1, 3),)),
+        (Polynomial([1, 0, 1]), (3, 1, 2), (Fraction(-5, 2), 4, Fraction(7, 3))),
+    ],
+)
+def test_lifted_charpoly_equals_linear_factor_powers(quotient, sizes, p):
+    expected = quotient
+    for p_i, size in zip(p, sizes):
+        expected = expected * (Polynomial.linear(p_i) ** (size - 1))
+    lifted = theorems._lifted_charpoly(sizes, p, quotient)
+    assert lifted.coeffs == expected.coeffs
+    assert [type(c) for c in lifted.coeffs] == [type(c) for c in expected.coeffs]
