@@ -1,8 +1,9 @@
 """Exact and numeric dense linear algebra.
 
 Exact side: arbitrary-precision integer/rational matrices, monic
-characteristic polynomials (Berkowitz, division-free), polynomial
-arithmetic with gcd-based square-free factorization.
+characteristic polynomials (batched multi-modular Faddeev-LeVerrier in
+int64 with Chinese remaindering), polynomial arithmetic with gcd-based
+square-free factorization.
 
 Numeric side: full spectra through LAPACK, Perron roots through power
 iteration with Collatz-Wielandt bracketing, entrywise matrix comparison,
@@ -12,6 +13,8 @@ and a tolerance-aware eigenvalue multiset (``Spectrum``).
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -318,30 +321,72 @@ def squarefree_factors(p: Polynomial) -> list[tuple[Polynomial, int]]:
     return factors
 
 
-def char_poly(m: ExactMatrix) -> Polynomial:
-    """Exact monic characteristic polynomial det(xI - M).
+@functools.cache
+def _prime(bits: int, i: int) -> int:
+    """The (i+1)-th largest prime below 2**bits, by trial division; ask for
+    i - 1 first, so that the search starts from the prime before."""
+    q = (1 << bits) - 1 if i == 0 else _prime(bits, i - 1) - 2
+    while any(q % f == 0 for f in range(3, math.isqrt(q) + 1, 2)):
+        q -= 2
+    return q
 
-    Berkowitz's division-free recurrence: the polynomial of each leading
-    (r+1)x(r+1) block is a Toeplitz convolution of the leading r x r block's
-    polynomial with [1, -a_rr, -R.C, -R.A.C, ..., -R.A^(r-1).C], where R and
-    C border the block and every product is a matrix-vector product.
-    Integer inputs stay integer, rational inputs stay rational, and the
-    coefficients never overflow.
+
+def char_polys(matrices: list[ExactMatrix]) -> list[Polynomial]:
+    """Exact monic characteristic polynomials det(xI - M), in input order.
+
+    One multi-modular Faddeev-LeVerrier pass per matrix order n. Each
+    matrix is scaled to integers by the lcm d of its denominators; with R
+    its largest absolute row sum, every eigenvalue is at most R in modulus,
+    so |c_k| <= C(n,k) R^k < (1+R)^n. The largest primes p below 2**bits,
+    (n+1) * 4**bits <= 2**63 (so p > n at any order that fits in memory),
+    are taken until their product exceeds 2 (1+R)^n, and every matrix's
+    residues mod every prime form one int64 stack (a matrix with R >= 2**62
+    is reduced in Python first). With M_1 = A, c_k = -tr(M_k) / k and
+    M_(k+1) = A M_k + c_k A, all mod p, every entry stays below p and no
+    intermediate value exceeds (n+1)(p-1)^2 < 2**63. The Chinese remainder
+    theorem gives c_k in the symmetric range; c_k / d^k is M's coefficient.
     """
-    a = m.rows
-    coeffs: list[Scalar] = [1, -a[0][0]]  # highest degree first
-    for r in range(1, m.n):
-        block = [row[:r] for row in a[:r]]
-        border_row = a[r][:r]
-        col = [row[r] for row in a[:r]]
-        toeplitz = [1, -a[r][r], -sum(map(operator.mul, border_row, col))]
-        for _ in range(r - 1):
-            col = [sum(map(operator.mul, row, col)) for row in block]
-            toeplitz.append(-sum(map(operator.mul, border_row, col)))
-        coeffs = [
-            sum(map(operator.mul, toeplitz[i::-1], coeffs)) for i in range(r + 2)
-        ]
-    return Polynomial(reversed(coeffs))
+    out: list[Polynomial] = [None] * len(matrices)
+    for n in dict.fromkeys(m.n for m in matrices):
+        members = [i for i, m in enumerate(matrices) if m.n == n]
+        scaled = []  # (d, integer rows, largest absolute row sum)
+        for i in members:
+            rows = matrices[i].rows
+            d = math.lcm(*map(operator.attrgetter("denominator"), itertools.chain(*rows)))
+            if d > 1:
+                rows = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+            scaled.append((d, rows, max(sum(map(abs, row)) for row in rows)))
+        bound, primes = 2 * (1 + max(r for *_, r in scaled)) ** n, []
+        while math.prod(primes) <= bound:
+            primes.append(_prime((63 - n.bit_length()) // 2, len(primes)))
+        ps = np.array(primes, dtype=np.int64)[:, None, None]
+        a = np.concatenate([
+            np.array(rows, dtype=np.int64) % ps if r < 2**62
+            else np.array([[[x % p for x in row] for row in rows] for p in primes], dtype=np.int64)
+            for _, rows, r in scaled
+        ])
+        p_col = np.tile(primes, len(members))
+        inv = np.tile([[pow(-k, -1, p) for p in primes] for k in range(1, n + 1)], len(members))
+        residues, m_k = [], a
+        for k in range(n):
+            # inv[k] = -1/(k+1) mod p; tr(M_k) <= n (p-1), so their product is below 2**63
+            c = m_k.trace(axis1=1, axis2=2) * inv[k] % p_col
+            residues.append(c)
+            if k + 1 < n:
+                m_k = (a @ m_k + c[:, None, None] * a) % p_col[:, None, None]
+        half = (big := math.prod(primes)) // 2
+        weights = [big // p * pow(big // p, -1, p) for p in primes]
+        by_matrix = np.reshape(residues, (n, len(members), len(primes))).transpose(1, 0, 2)
+        for i, (d, _, _), by_k in zip(members, scaled, by_matrix.tolist()):
+            cs = [(sum(map(operator.mul, rs, weights)) + half) % big - half for rs in by_k]
+            cs = [c if d == 1 else Fraction(c, d**k) for k, c in enumerate(cs, 1)]
+            out[i] = Polynomial([*reversed(cs), 1])
+    return out
+
+
+def char_poly(m: ExactMatrix) -> Polynomial:
+    """Exact monic characteristic polynomial det(xI - M) (see ``char_polys``)."""
+    return char_polys([m])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .linalg import (
     Polynomial,
     Spectrum,
     char_poly,
+    char_polys,
     eigenvalues,
     eigvals_stack,
     largest_real_root,
@@ -52,7 +53,7 @@ from .quotient import (
 _NUMERIC_TOL = 1e-7
 
 # Largest matrix order a claim may build; each exact characteristic
-# polynomial costs about order^4 / 4 multiplications.
+# polynomial costs about order^4 multiplications per prime.
 CLAIM_ORDER_BUDGET = 32
 
 
@@ -495,16 +496,19 @@ def _handle_connectivity_theorem(theorem, sub: str, params: dict) -> Verificatio
         fam = theorem.family(n, k, p)
         spec = adjacency_blockspec(fam, kind)
         members.append((p, fam, build_matrix(build(fam), kind), spec, spec.quotient()))
-    # one solver call per stack: the members' matrices, then their quotients
+    # one solver call per stack, then one exact char-poly pass over members and quotients
     full_values = eigvals_stack(np.stack([exact.to_numpy() for _, _, exact, _, _ in members]))
     quotient_values = eigvals_stack(np.stack([b.to_numpy() for *_, b in members]))
+    polys = char_polys([exact for _, _, exact, _, _ in members] + [b for *_, b in members])
     dev, identities_ok, values = 0.0, True, {}
-    for (p, fam, exact, spec, b), m_vals, b_vals in zip(members, full_values, quotient_values):
-        full, b_poly = Spectrum.from_values(m_vals), char_poly(b)
+    for (p, fam, _, spec, _), m_vals, b_vals, m_poly, b_poly in zip(
+        members, full_values, quotient_values, polys, polys[len(members) :]
+    ):
+        full = Spectrum.from_values(m_vals)
         member_dev, member_ok, values[p] = theorem.check_member(n, k, p, kind, fam, b_poly, full)
         # exact companion to the numeric comparisons
         lifted = _lifted_charpoly(spec.sizes, spec.p, b_poly)
-        identities_ok &= member_ok & (lifted == char_poly(exact))
+        identities_ok &= member_ok & (lifted == m_poly)
         dev = max(
             dev,
             member_dev,

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the tests.
 
 Deliberately separate algorithms from the package's implementations:
-Bareiss elimination and Lagrange interpolation instead of Berkowitz's
-recurrence, Floyd-Warshall instead of BFS, max-flow Menger
+Bareiss elimination and Lagrange interpolation, and Berkowitz's
+division-free recurrence over exact scalars, instead of multi-modular
+Faddeev-LeVerrier, Floyd-Warshall instead of BFS, max-flow Menger
 instead of cut enumeration, bisection instead of closed forms, per-block
 loops instead of cell-sum reductions, one labeled graph and one permutation
 at a time instead of isomorphism orbits and relabeling tables, one probe
@@ -12,6 +13,7 @@ at a time instead of a connectivity theorem's members solved as one stack.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import deque
 from fractions import Fraction
@@ -25,7 +27,6 @@ from eqspec.graphs import Digraph, Graph, MatrixKind, build_matrix
 from eqspec.linalg import (
     ExactMatrix,
     Polynomial,
-    char_poly,
     eigenvalues,
     largest_real_root,
     spectral_radius,
@@ -91,6 +92,31 @@ def charpoly_by_interpolation(m: ExactMatrix) -> Polynomial:
         for d, c in enumerate(basis):
             coeffs[d] += c * scale
     return Polynomial(coeffs)
+
+
+def berkowitz_char_poly(m: ExactMatrix) -> Polynomial:
+    """Exact monic characteristic polynomial det(xI - M) by Berkowitz's
+    division-free recurrence over plain ints and Fractions.
+
+    The polynomial of each leading (r+1)x(r+1) block is a Toeplitz
+    convolution of the leading r x r block's polynomial with
+    [1, -a_rr, -R.C, -R.A.C, ..., -R.A^(r-1).C], where R and C border the
+    block and every product is a matrix-vector product.
+    """
+    a = m.rows
+    coeffs = [1, -a[0][0]]  # highest degree first
+    for r in range(1, m.n):
+        block = [row[:r] for row in a[:r]]
+        border_row = a[r][:r]
+        col = [row[r] for row in a[:r]]
+        toeplitz = [1, -a[r][r], -sum(map(operator.mul, border_row, col))]
+        for _ in range(r - 1):
+            col = [sum(map(operator.mul, row, col)) for row in block]
+            toeplitz.append(-sum(map(operator.mul, border_row, col)))
+        coeffs = [
+            sum(map(operator.mul, toeplitz[i::-1], coeffs)) for i in range(r + 2)
+        ]
+    return Polynomial(reversed(coeffs))
 
 
 def floyd_warshall(obj) -> list[list[float]]:
@@ -450,8 +476,9 @@ def connectivity_theorem_report(theorem: str, sub: str, n: int, k: int):
     """The ``verify`` report of a thm4.3/thm5.2 sub-claim, one family member
     at a time: each member's matrix solved by ``eigenvalues`` and again by
     ``spectral_radius``, its quotient by ``block_spectrum``, and each
-    characteristic polynomial recomputed wherever it is compared, the
-    lifted one as ``Polynomial.linear(p_i) ** (n_i - 1)`` products."""
+    characteristic polynomial recomputed by ``berkowitz_char_poly``
+    wherever it is compared, the lifted one as
+    ``Polynomial.linear(p_i) ** (n_i - 1)`` products."""
     kind, mode = theorems._SUBCLAIMS[sub]
     graph = theorem == "thm5.2"
     family = KnkpGraph if graph else KnkpDigraph
@@ -466,7 +493,7 @@ def connectivity_theorem_report(theorem: str, sub: str, n: int, k: int):
         member_dev, member_ok = 0.0, True
         if graph:
             cubic = theorems.graph_quotient_charpolys(n, k, p, kind)
-            member_ok = cubic == char_poly(spec.quotient())
+            member_ok = cubic == berkowitz_char_poly(spec.quotient())
             if kind is MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN:
                 member_ok &= cubic == theorems.knkp_graph_dq_display_cubic(p, fam.q, k)
             if p == 1 and kind in theorems._GRAPH_BOUND_CUBICS:
@@ -480,11 +507,11 @@ def connectivity_theorem_report(theorem: str, sub: str, n: int, k: int):
                 else theorems.digraph_quotient_eigs(n, k, p, kind)
             )
             member_dev, values[p] = full.containment_deviation(closed), closed.max_real()
-        lifted = char_poly(spec.quotient())
+        lifted = berkowitz_char_poly(spec.quotient())
         for p_i, size in zip(spec.p, spec.sizes):
             if size > 1:
                 lifted = lifted * (Polynomial.linear(p_i) ** (size - 1))
-        identities_ok &= member_ok & (lifted == char_poly(exact))
+        identities_ok &= member_ok & (lifted == berkowitz_char_poly(exact))
         dev = max(
             dev,
             member_dev,

@@ -31,6 +31,7 @@ from eqspec.linalg import (
     Polynomial,
     Spectrum,
     char_poly,
+    char_polys,
     eigenvalues,
     matrix_order,
     perron_root,
@@ -41,6 +42,7 @@ from eqspec.linalg import (
 )
 
 from oracles import (
+    berkowitz_char_poly,
     bisection_largest_root,
     charpoly_by_interpolation,
     contains_within_tol,
@@ -159,6 +161,73 @@ def test_char_poly_monic_and_degree():
     m = _random_exact(rng, 7)
     poly = char_poly(m)
     assert poly.is_monic and poly.degree == 7
+
+
+def _mixed_matrices(rng):
+    """Orders 1-9 interleaved: small signed ints, Fractions whose
+    denominators differ from entry to entry, and signed entries of 2**62
+    or more, which take the Python reduction."""
+    out = []
+    for n in (9, 1, 5, 2, 8, 3, 7, 4, 6, 9, 1, 5):
+        out.append(_random_exact(rng, n, -9, 9))
+        out.append(ExactMatrix(
+            [[Fraction(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(n)]
+             for _ in range(n)]
+        ))
+        out.append(ExactMatrix(
+            [[rng.choice((-1, 1)) * rng.randint(2**62, 2**70) if rng.random() < 0.3
+              else rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        ))
+    return out
+
+
+def test_char_polys_mixed_batch_against_both_oracles_in_input_order():
+    matrices = _mixed_matrices(random.Random(31))
+    assert any(isinstance(x, Fraction) for m in matrices for row in m.rows for x in row)
+    assert any(abs(x) >= 2**62 for m in matrices for row in m.rows for x in row)
+    polys = char_polys(matrices)
+    assert [poly.degree for poly in polys] == [m.n for m in matrices]
+    for m, poly in zip(matrices, polys):
+        assert poly == charpoly_by_interpolation(m) == berkowitz_char_poly(m)
+    # a reversed batch gives the reversed list; a lone matrix, the same poly
+    assert char_polys(matrices[::-1]) == polys[::-1]
+    assert [char_poly(m) for m in matrices[:6]] == polys[:6]
+
+
+@pytest.mark.parametrize("r", [1, 2**62 - 1, 10**30])
+def test_char_polys_coefficient_bound_stress_at_order_32(r):
+    n = 32
+    rng = random.Random(r % 1000)
+    coeffs = [rng.randint(-r, r) for _ in range(n)]
+    companion = ExactMatrix(
+        [[1 if i == j + 1 else 0 for j in range(n - 1)] + [-coeffs[i]] for i in range(n)]
+    )
+    scaled_identity = ExactMatrix([[r if i == j else 0 for j in range(n)] for i in range(n)])
+    scaled_ones = ExactMatrix([[r] * n for _ in range(n)])
+    matrices = [scaled_identity, scaled_ones, companion]
+    assert char_polys(matrices) == [
+        Polynomial.linear(r) ** n,
+        Polynomial.linear(n * r) * Polynomial([0, 1]) ** (n - 1),
+        Polynomial(coeffs + [1]),
+    ]
+    assert char_polys(matrices) == [berkowitz_char_poly(m) for m in matrices]
+
+
+def test_char_polys_companion_at_order_32_against_interpolation():
+    n = 32
+    rng = random.Random(32)
+    coeffs = [rng.randint(-10**15, 10**15) for _ in range(n)]
+    companion = ExactMatrix(
+        [[1 if i == j + 1 else 0 for j in range(n - 1)] + [-coeffs[i]] for i in range(n)]
+    )
+    assert char_polys([companion]) == [charpoly_by_interpolation(companion)]
+
+
+def test_char_polys_zero_matrices_and_empty_batch():
+    assert char_polys([]) == []
+    zeros = [ExactMatrix.zeros(n) for n in (1, 4, 32)]
+    assert char_polys(zeros) == [Polynomial([0, 1]) ** n for n in (1, 4, 32)]
+    assert char_polys(zeros) == [berkowitz_char_poly(m) for m in zeros]
 
 
 # ---------------------------------------------------------------------------
