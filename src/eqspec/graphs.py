@@ -1,19 +1,34 @@
 """Graph and digraph types, connectivity analysis, and matrix construction.
 
-Vertices are 0-indexed everywhere. All six matrices (adjacency, Laplacian,
-signless Laplacian, distance, distance Laplacian, distance signless
-Laplacian) are built with exact integer entries; the distance kinds require
-a connected graph / strongly connected digraph and fail hard otherwise.
+Vertices are 0-indexed everywhere. Every question about a (di)graph's
+structure is answered on a (b, n, n) adjacency stack, by one of two
+kernels that batch over the stack: ``distances`` (shortest path lengths
+and reachability, hence connectivity and strong connectivity) and
+``vertex_connectivities`` (a batched vertex-cut search). A single graph is
+a stack of one. All six matrices (adjacency, Laplacian, signless
+Laplacian, distance, distance Laplacian, distance signless Laplacian) come
+from one stacked builder, ``build_matrices``, with exact integer entries;
+the distance kinds require a connected graph / strongly connected digraph
+and fail hard otherwise.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
-from itertools import combinations
+import math
+from itertools import combinations, islice
 
-from .errors import DisconnectedInput, InvalidParameters, ParseError
+import numpy as np
+
+from .errors import BudgetExceeded, DisconnectedInput, InvalidParameters, ParseError
 from .linalg import ExactMatrix
+
+# vertex cuts the connectivity search may try per graph: every cut of a
+# graph on 18 vertices
+CUT_BUDGET = 1 << 18
+# matrix entries one batch of the distance or cut kernel holds (256 KiB of
+# float32); a larger single matrix, or a single cut, is a batch of its own
+_ENTRY_WINDOW = 1 << 16
 
 
 class MatrixKind(enum.Enum):
@@ -68,13 +83,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
-    def adjacency_sets(self) -> list[set[int]]:
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
         for u, v in self.edges:
@@ -121,66 +129,128 @@ class Digraph:
             adj[u].add(v)
         return adj
 
-    def in_sets(self) -> list[set[int]]:
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.arcs:
-            adj[v].add(u)
-        return adj
-
-    def out_degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for u, _ in self.arcs:
-            deg[u] += 1
-        return tuple(deg)
-
     def is_complete(self) -> bool:
         return len(self.arcs) == self.n * (self.n - 1)
 
 
-def _bfs_levels(adj, start: int, n: int, skip=frozenset()) -> list[int]:
-    """Distances from start over adjacency sets; -1 marks unreachable."""
-    dist = [-1] * n
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in skip and dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+def adjacency_stack(objs) -> np.ndarray:
+    """The (b, n, n) 0/1 adjacency matrices of (di)graphs sharing an order n."""
+    adj = np.zeros((len(objs), objs[0].n, objs[0].n), dtype=np.uint8)
+    for i, obj in enumerate(objs):
+        undirected = isinstance(obj, Graph)
+        items = obj.edges if undirected else obj.arcs
+        if items:
+            u, v = np.array(list(items)).T
+            adj[i, u, v] = 1
+            if undirected:
+                adj[i, v, u] = 1
+    return adj
+
+
+def distances(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest path lengths and reachability in every (di)graph of a
+    (b, n, n) adjacency stack, as (dist, reach).
+
+    reach[i, u, v] says whether u reaches v in graph i; it grows one level
+    at a time by a product with A + I, until no level adds an entry. The
+    products run on float32 0/1 matrices, exact for n < 2**24, over at
+    most ``_ENTRY_WINDOW`` entries at a time. dist holds the level each
+    entry was reached at, and 0 where it never is.
+    """
+    b, n, _ = adj.shape
+    dist = np.zeros((b, n, n), dtype=np.int16)
+    reach = np.empty((b, n, n), dtype=bool)
+    idx = np.arange(n)
+    per_batch = max(1, _ENTRY_WINDOW // (n * n))
+    for lo in range(0, b, per_batch):
+        step = adj[lo : lo + per_batch].astype(np.float32)
+        step[:, idx, idx] = 1
+        level = np.broadcast_to(np.eye(n, dtype=np.float32), step.shape).copy()
+        for d in range(1, n):
+            nxt = level @ step
+            np.minimum(nxt, 1, out=nxt)
+            newly = nxt > level
+            if not newly.any():
+                break
+            dist[lo : lo + per_batch][newly] = d
+            level = nxt
+        reach[lo : lo + per_batch] = level > 0
+    return dist, reach
+
+
+def is_connected(obj) -> bool:
+    """Whether every vertex reaches every vertex: connectivity of a graph,
+    strong connectivity of a digraph."""
+    return bool(distances(adjacency_stack([obj]))[1].all())
+
+
+is_strongly_connected = is_connected
+
+
+def _connected_distances(adj: np.ndarray, directed: bool) -> np.ndarray:
+    """The distances of every (di)graph of the stack; DisconnectedInput
+    when one of them is not (strongly) connected."""
+    dist, reach = distances(adj)
+    if not reach.all():
+        if directed:
+            raise DisconnectedInput("digraph is not strongly connected")
+        raise DisconnectedInput("graph is not connected")
     return dist
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    dist = _bfs_levels(g.adjacency_sets(), 0, g.n)
-    return all(d >= 0 for d in dist)
+# kind -> (built from distances rather than adjacency, off-diagonal sign,
+# row sums on the diagonal)
+_KIND_FORMS = {
+    MatrixKind.ADJACENCY: (False, 1, False),
+    MatrixKind.LAPLACIAN: (False, -1, True),
+    MatrixKind.SIGNLESS_LAPLACIAN: (False, 1, True),
+    MatrixKind.DISTANCE: (True, 1, False),
+    MatrixKind.DISTANCE_LAPLACIAN: (True, -1, True),
+    MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN: (True, 1, True),
+}
 
 
-def is_strongly_connected(dg: Digraph) -> bool:
-    if dg.n == 1:
-        return True
-    for adj in (dg.out_sets(), dg.in_sets()):
-        dist = _bfs_levels(adj, 0, dg.n)
-        if any(d < 0 for d in dist):
-            return False
-    return True
+def matrix_stack(base: np.ndarray, kind) -> np.ndarray:
+    """One kind's matrices as a (b, n, n) int32 stack, from the stack of
+    adjacency matrices (A, L, Q) or of distance matrices (D, DL, DQ).
+
+    Each matrix is the base, negated for the Laplacians, with the base's
+    row sums (degrees or out-degrees; transmissions) on the diagonal for
+    the (signless) Laplacians, since the base's own diagonal is zero.
+    """
+    _, sign, diagonal = _KIND_FORMS[MatrixKind.coerce(kind)]
+    out = base.astype(np.int32)
+    if sign < 0:
+        np.negative(out, out=out)
+    if diagonal:
+        idx = np.arange(base.shape[1])
+        out[:, idx, idx] = base.sum(axis=2)
+    return out
 
 
-def _require_connected(obj) -> None:
-    if isinstance(obj, Graph):
-        if not is_connected(obj):
-            raise DisconnectedInput("graph is not connected")
-    elif not is_strongly_connected(obj):
-        raise DisconnectedInput("digraph is not strongly connected")
+def build_matrices(objs, kind) -> np.ndarray:
+    """One of the six matrices of each graph, or of each digraph, of one
+    order, as a (b, n, n) int32 stack (see ``matrix_stack``).
+
+    Digraph Laplacians use the out-degree diagonal; distance kinds raise
+    DisconnectedInput when some member's distances are undefined.
+    """
+    kind = MatrixKind.coerce(kind)
+    adj = adjacency_stack(objs)
+    if _KIND_FORMS[kind][0]:
+        return matrix_stack(_connected_distances(adj, isinstance(objs[0], Digraph)), kind)
+    return matrix_stack(adj, kind)
+
+
+def build_matrix(obj, kind) -> ExactMatrix:
+    """One of the six matrices of a graph or digraph, exact integer entries
+    (``build_matrices`` of one)."""
+    return ExactMatrix(build_matrices([obj], kind)[0].tolist())
 
 
 def distance_matrix(obj) -> ExactMatrix:
-    """All-pairs shortest path lengths, BFS from every vertex."""
-    _require_connected(obj)
-    adj = obj.adjacency_sets() if isinstance(obj, Graph) else obj.out_sets()
-    return ExactMatrix([_bfs_levels(adj, s, obj.n) for s in range(obj.n)])
+    """All-pairs shortest path lengths."""
+    return build_matrix(obj, MatrixKind.DISTANCE)
 
 
 def transmissions(obj) -> tuple[int, ...]:
@@ -188,83 +258,83 @@ def transmissions(obj) -> tuple[int, ...]:
     return tuple(int(s) for s in distance_matrix(obj).row_sums())
 
 
-def build_matrix(obj, kind) -> ExactMatrix:
-    """One of the six matrices of a graph or digraph, exact integer entries.
+def _cut_reach(adj: np.ndarray, size: int):
+    """Reachability in every (di)graph of a (b, n, n) adjacency stack minus
+    each cut of ``size`` vertices, cuts in lexicographic order.
 
-    Digraph Laplacians use the out-degree diagonal; distance kinds raise
-    DisconnectedInput when distances are undefined.
+    Yields (keep, reach) batches: keep is (c, m), the m = n - size vertices
+    each of c cuts keeps, and reach is (b, c, m, m), whether u reaches v
+    once the cut is gone. A batch holds at most ``_ENTRY_WINDOW`` entries, or
+    a single cut. Reach is (A + I) squared s = ceil(log2(m - 1)) times,
+    which covers every path of length up to 2**s >= m - 1.
     """
-    kind = MatrixKind.coerce(kind)
-    n = obj.n
-    adj = [[0] * n for _ in range(n)]
-    if isinstance(obj, Graph):
-        for u, v in obj.edges:
-            adj[u][v] = adj[v][u] = 1
-        diag = obj.degrees()
-    else:
-        for u, v in obj.arcs:
-            adj[u][v] = 1
-        diag = obj.out_degrees()
-
-    if kind is MatrixKind.ADJACENCY:
-        return ExactMatrix(adj)
-    if kind is MatrixKind.LAPLACIAN:
-        return ExactMatrix(
-            [[diag[i] - adj[i][j] if i == j else -adj[i][j] for j in range(n)] for i in range(n)]
-        )
-    if kind is MatrixKind.SIGNLESS_LAPLACIAN:
-        return ExactMatrix(
-            [[diag[i] + adj[i][j] if i == j else adj[i][j] for j in range(n)] for i in range(n)]
-        )
-
-    dist = distance_matrix(obj)
-    if kind is MatrixKind.DISTANCE:
-        return dist
-    # the diagonal is each row's transmission, since dist[i, i] = 0
-    sign = -1 if kind is MatrixKind.DISTANCE_LAPLACIAN else 1
-    rows = [[sign * d for d in row] for row in dist.rows]
-    for i, row in enumerate(dist.rows):
-        rows[i][i] = sum(row)
-    return ExactMatrix(rows)
+    b, n, _ = adj.shape
+    m = n - size
+    idx = np.arange(m)
+    per_batch = max(1, _ENTRY_WINDOW // (b * m * m))
+    cuts = combinations(range(n), size)
+    while chunk := list(islice(cuts, per_batch)):
+        kept = np.ones((len(chunk), n), dtype=bool)
+        kept[np.arange(len(chunk))[:, None], chunk] = False
+        keep = np.nonzero(kept)[1].reshape(len(chunk), m)
+        reach = adj[:, keep[:, :, None], keep[:, None, :]].astype(np.float32)
+        reach[..., idx, idx] = 1
+        for _ in range((m - 2).bit_length()):
+            reach = reach @ reach
+            np.minimum(reach, 1, out=reach)
+        yield keep, reach > 0
 
 
-def _still_connected_without(adj, removed: frozenset, n: int, directed: bool, rev=None) -> bool:
-    keep = [v for v in range(n) if v not in removed]
-    if len(keep) <= 1:
-        return True
-    start = keep[0]
-    dist = _bfs_levels(adj, start, n, skip=removed)
-    if any(dist[v] < 0 for v in keep):
-        return False
-    if directed:
-        dist = _bfs_levels(rev, start, n, skip=removed)
-        if any(dist[v] < 0 for v in keep):
-            return False
-    return True
+def vertex_connectivities(adj: np.ndarray, connected: np.ndarray) -> np.ndarray:
+    """Vertex connectivity of every (di)graph of a (b, n, n) adjacency
+    stack: the fewest vertices whose deletion leaves some vertex unable to
+    reach another.
+
+    The same criterion covers graphs (symmetric adjacency) and digraphs.
+    Entries where ``connected`` is false are -1; complete graphs, and
+    connected ones without a cut of n - 2 or fewer vertices, get n - 1.
+    Cuts are tried in increasing size, all cuts of one size at a time over
+    the graphs still unanswered (see ``_cut_reach``). A graph may cost up
+    to ``CUT_BUDGET`` cuts (every cut of a graph on 18 vertices); a cut
+    size that would take the count past it raises BudgetExceeded.
+    """
+    b, n, _ = adj.shape
+    kappa = np.where(connected, n - 1, -1)
+    alive = connected & (adj.reshape(b, -1).sum(axis=1) < n * (n - 1))
+    tried = 0
+    for size in range(1, n - 1):
+        if not alive.any():
+            break
+        tried += math.comb(n, size)
+        if tried > CUT_BUDGET:
+            raise BudgetExceeded(
+                f"vertex connectivity is capped at {CUT_BUDGET} vertex cuts per graph; "
+                f"the cuts of {size} of {n} vertices would exceed it"
+            )
+        rows = np.flatnonzero(alive)
+        broken = np.zeros(rows.size, dtype=bool)
+        for _, reach in _cut_reach(adj[rows], size):
+            broken |= ~reach.all(axis=(2, 3)).all(axis=1)
+            if broken.all():
+                break
+        kappa[rows[broken]] = size
+        alive[rows[broken]] = False
+    return kappa
 
 
 def vertex_connectivity(obj) -> int:
     """Minimum number of vertices whose deletion disconnects the graph
     (destroys strong connectivity for digraphs).
 
-    Exhaustive cut search in increasing cut size with early exit; exact, and
-    fast for the n <= 12 workloads this package targets. Complete inputs
-    have no cut and return n - 1 by convention.
+    Exact: ``vertex_connectivities`` of the one (di)graph, a batched cut
+    search in increasing cut size that stops at the first size that
+    breaks it. It raises BudgetExceeded past ``CUT_BUDGET`` cuts, so every
+    input on 18 or fewer vertices is answered. Complete inputs have no cut
+    and return n - 1 by convention.
     """
-    n = obj.n
-    _require_connected(obj)
-    if obj.is_complete() or n == 1:
-        return n - 1
-    directed = isinstance(obj, Digraph)
-    if directed:
-        adj, rev = obj.out_sets(), obj.in_sets()
-    else:
-        adj, rev = obj.adjacency_sets(), None
-    for size in range(1, n - 1):
-        for cut in combinations(range(n), size):
-            if not _still_connected_without(adj, frozenset(cut), n, directed, rev):
-                return size
-    return n - 1
+    adj = adjacency_stack([obj])
+    _connected_distances(adj, isinstance(obj, Digraph))
+    return int(vertex_connectivities(adj, np.ones(1, dtype=bool))[0])
 
 
 def join(a, b):

@@ -595,24 +595,6 @@ def spectral_radius(m) -> float:
     return float(np.max(np.abs(_eigvals(as_numeric(m)))))
 
 
-def _support_strongly_connected(a: np.ndarray) -> bool:
-    n = a.shape[0]
-    support = a > 0
-    for adj in (support, support.T):
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(adj[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        if not seen.all():
-            return False
-    return True
-
-
 def row_sum_bounds(m) -> tuple[float, float]:
     """(min, max) row sum of a nonnegative matrix; brackets the Perron root."""
     a = as_numeric(m)
@@ -635,7 +617,9 @@ def perron_root(m, tol: float = 1e-11) -> float:
         raise NotNonnegative("perron_root requires a nonnegative matrix")
     if n == 1:
         return float(a[0, 0])
-    if not _support_strongly_connected(a):
+    from .graphs import distances  # graphs builds on this module
+
+    if not distances((a > 0)[None])[1].all():
         raise NotIrreducible("perron_root requires an irreducible matrix")
     shifted = a + np.eye(n)
     x = np.ones(n)

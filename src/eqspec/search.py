@@ -3,8 +3,10 @@
 A scan walks the S_n orbits of the labeled adjacency bitmasks, not every
 bitmask: each orbit is found once, through a table of how each vertex
 permutation moves the bits, and its smallest mask stands for it. The
-per-graph work (connectivity, vertex connectivity, spectral objectives) is
-vectorized over the representatives, and each orbit counts with its size.
+per-graph work is vectorized over the representatives: connectivity,
+distances and vertex connectivity come from the kernels of ``graphs`` and
+the objectives' matrices from its stacked builder, so this module has no
+graph routine of its own. Each orbit counts with its size.
 The orbits near an optimum are then expanded back to their labeled masks
 and evaluated again, so certificates report the same value, optimizer masks
 and counts as a scan over every labeled mask. Isomorphism testing is applied
@@ -16,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -36,7 +38,18 @@ from .families import (
     build,
     format_family,
 )
-from .graphs import Digraph, Graph, _bfs_levels, is_strongly_connected, vertex_connectivity
+from .graphs import (
+    Digraph,
+    Graph,
+    MatrixKind,
+    _cut_reach,
+    adjacency_stack,
+    distances,
+    is_strongly_connected,
+    matrix_stack,
+    vertex_connectivities,
+    vertex_connectivity,
+)
 from .quotient import BlockSpec, ProbeReport, _as_spec, _first_failing_probe
 
 UNDIRECTED_VERTEX_BUDGET = 7  # 2**21 labeled graphs
@@ -48,6 +61,12 @@ _WALK_WINDOW = 4096  # masks searched at a time for the next unseen orbit
 _PROBE_WINDOW = 1 << 16
 
 OBJECTIVES = ("rho", "q", "rhoD", "qD")
+_OBJECTIVE_KINDS = {
+    "rho": MatrixKind.ADJACENCY,
+    "q": MatrixKind.SIGNLESS_LAPLACIAN,
+    "rhoD": MatrixKind.DISTANCE,
+    "qD": MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN,
+}
 _TIE_TOL = 1e-9
 # Orbits within this much (beyond _TIE_TOL) of the best representative are
 # re-evaluated mask by mask: relabeling a graph moves a computed eigenvalue
@@ -175,92 +194,19 @@ def _adjacency_batch(masks: np.ndarray, n: int, pairs, directed: bool) -> np.nda
     return adj
 
 
-def _distances_and_connectivity(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """BFS distances via boolean matrix powers; unreachable entries stay 0.
-
-    Returns (dist, connected) where connected means every vertex reaches
-    every vertex (strong connectivity; plain connectivity for symmetric
-    input).
-    """
-    b, n, _ = adj.shape
-    eye = np.eye(n, dtype=np.uint8)
-    step = adj | eye
-    reach = np.broadcast_to(eye, adj.shape).copy()
-    dist = np.zeros((b, n, n), dtype=np.int16)
-    for d in range(1, n):
-        nxt = (np.matmul(reach, step) > 0).astype(np.uint8)
-        newly = (nxt == 1) & (reach == 0)
-        if newly.any():
-            dist[newly] = d
-        reach = nxt
-        if reach.all():
-            break
-    connected = reach.reshape(b, -1).all(axis=1)
-    return dist, connected
-
-
-def _kappa_batch(adj: np.ndarray, connected: np.ndarray) -> np.ndarray:
-    """Vertex connectivity per graph: smallest deleted set breaking reach-all.
-
-    The same reach-all criterion covers graphs (symmetric adjacency) and
-    digraphs. Entries for disconnected graphs stay -1; connected graphs
-    without a cut of size <= n-2 get n-1 (complete case convention).
-    """
-    b, n, _ = adj.shape
-    kappa = np.full(b, -1, dtype=np.int8)
-    alive = connected.copy()
-    eye_cache = {}
-    for size in range(1, n - 1):
-        if not alive.any():
-            break
-        for cut in combinations(range(n), size):
-            keep = [v for v in range(n) if v not in cut]
-            m = len(keep)
-            sub = adj[:, keep, :][:, :, keep]
-            if m not in eye_cache:
-                eye_cache[m] = np.eye(m, dtype=np.uint8)
-            reach = sub | eye_cache[m]
-            # (A|I)^(2^3) covers paths of length up to 8 >= m-1 for m <= 6
-            for _ in range(3):
-                reach = (np.matmul(reach, reach) > 0).astype(np.uint8)
-            broken = alive & ~reach.reshape(b, -1).all(axis=1)
-            if broken.any():
-                kappa[broken] = size
-                alive = alive & ~broken
-        if not alive.any():
-            break
-    kappa[alive] = n - 1
-    return kappa
-
-
 def _objective_batch(
     adj: np.ndarray, dist: np.ndarray, directed: bool, wanted
 ) -> dict[str, np.ndarray]:
-    n = adj.shape[1]
-    idx = np.arange(n)
-
     def top(stack):
         if directed:
             return np.abs(np.linalg.eigvals(stack)).max(axis=1)
         return np.linalg.eigvalsh(stack)[:, -1]
 
-    out = {}
-    a = adj.astype(np.float64)
-    if "rho" in wanted:
-        out["rho"] = top(a)
-    if "q" in wanted:
-        q = a.copy()
-        q[:, idx, idx] += a.sum(axis=2)
-        out["q"] = top(q)
-    if "rhoD" in wanted or "qD" in wanted:
-        dm = dist.astype(np.float64)
-        if "rhoD" in wanted:
-            out["rhoD"] = top(dm)
-        if "qD" in wanted:
-            dq = dm.copy()
-            dq[:, idx, idx] += dm.sum(axis=2)
-            out["qD"] = top(dq)
-    return out
+    bases = {"rho": adj, "q": adj, "rhoD": dist, "qD": dist}
+    return {
+        obj: top(matrix_stack(bases[obj], _OBJECTIVE_KINDS[obj]).astype(np.float64))
+        for obj in wanted
+    }
 
 
 def _optimum(masks: np.ndarray, vals: np.ndarray, mode: str):
@@ -367,8 +313,9 @@ def _certificates(n: int, directed: bool, targets) -> dict:
     need_kappa = any(k is not None for k, _, _ in targets.values())
     need_objectives = tuple(sorted({obj for _, obj, _ in targets.values()}))
     adj = _adjacency_batch(reps, n, pairs, directed)
-    dist, connected = _distances_and_connectivity(adj)
-    kappa = _kappa_batch(adj, connected) if need_kappa else None
+    dist, reachable = distances(adj)
+    connected = reachable.all(axis=(1, 2))
+    kappa = vertex_connectivities(adj, connected) if need_kappa else None
     values = _objective_batch(adj, dist, directed, need_objectives)
     reach = _TIE_TOL + _ORBIT_SLACK
     refs_by_k = {}
@@ -384,7 +331,7 @@ def _certificates(n: int, directed: bool, targets) -> dict:
             near = in_class & (vals <= vals[in_class].min() + reach)
         masks = _expand(n, directed, reps[near])
         labeled = _adjacency_batch(masks, n, pairs, directed)
-        labeled_dist, _ = _distances_and_connectivity(labeled)
+        labeled_dist, _ = distances(labeled)
         labeled_values = _objective_batch(labeled, labeled_dist, directed, (objective,))
         value, optimizers = _optimum(masks, labeled_values[objective], mode)
         if k not in refs_by_k:
@@ -458,8 +405,8 @@ def enumerate_class(n: int, directed: bool, kappa: int):
         raise InvalidParameters(f"need 1 <= kappa <= n-1, got kappa={kappa}")
     reps, _ = _orbits(n, directed)
     adj = _adjacency_batch(reps, n, pair_table(n, directed), directed)
-    _, connected = _distances_and_connectivity(adj)
-    in_class = _kappa_batch(adj, connected) == kappa
+    connected = distances(adj)[1].all(axis=(1, 2))
+    in_class = vertex_connectivities(adj, connected) == kappa
     for mask in _expand(n, directed, reps[in_class]):
         yield graph_from_mask(n, int(mask), directed)
 
@@ -498,23 +445,6 @@ class DominationEmbedding:
     witness: tuple[int, ...]
 
 
-def _strong_components(out_sets, in_sets, removed) -> list[set[int]]:
-    """The strong components of a digraph minus the ``removed`` vertices,
-    in the order of their smallest vertices: each is what its smallest
-    vertex both reaches and is reached from."""
-    n = len(out_sets)
-    remaining = set(range(n)) - removed
-    comps = []
-    while remaining:
-        v = min(remaining)
-        fwd = _bfs_levels(out_sets, v, n, skip=removed)
-        bwd = _bfs_levels(in_sets, v, n, skip=removed)
-        comp = {u for u in remaining if fwd[u] >= 0 and bwd[u] >= 0}
-        comps.append(comp)
-        remaining -= comp
-    return comps
-
-
 def dominate_with_extremal(dg: Digraph) -> DominationEmbedding:
     """Embed a strongly connected digraph into its extremal completion.
 
@@ -531,24 +461,22 @@ def dominate_with_extremal(dg: Digraph) -> DominationEmbedding:
     k = vertex_connectivity(dg)
     if k == n - 1:
         raise CompleteInput("complete digraph has no vertex cut of size at most n-2")
-    out_sets, in_sets = dg.out_sets(), dg.in_sets()
-    for candidate in combinations(range(n), k):
-        cut = set(candidate)
-        comps = _strong_components(out_sets, in_sets, cut)
-        if len(comps) > 1:
+    # the first cut of k vertices, in lexicographic order, that breaks strong
+    # connectivity, with R, the reachability of dg minus that cut
+    for keep, reach in _cut_reach(adjacency_stack([dg]), k):
+        broken = np.flatnonzero(~reach[0].all(axis=(1, 2)))
+        if broken.size:
+            keep, reach = keep[broken[0]], reach[0, broken[0]]
             break
     else:  # pragma: no cover - contradicts vertex_connectivity
         raise CompleteInput("no vertex cut found")
-    rest = set(range(n)) - cut
-    sources = []
-    for comp in comps:
-        outside = rest - comp
-        incoming = any(
-            v in comp for u in outside for v in out_sets[u]
-        )
-        if not incoming:
-            sources.append(comp)
-    g1 = min(sources, key=min)
+    # the strong components are the classes of R & R^T; v's has no in-arcs
+    # from the rest of dg minus the cut when each vertex reaching v is
+    # reached from v, and G1 is the one holding the smallest such v
+    source = np.flatnonzero((reach <= reach.T).all(axis=0))[0]
+    g1 = set(keep[reach[source] & reach[:, source]].tolist())
+    rest = set(keep.tolist())
+    cut = set(range(n)) - rest
     p = len(g1)
     order = sorted(g1) + sorted(cut) + sorted(rest - g1)
     witness = [0] * n

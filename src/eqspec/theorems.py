@@ -31,8 +31,9 @@ from .families import (
     adjacency_blockspec,
     build,
 )
-from .graphs import MatrixKind, build_matrix
+from .graphs import MatrixKind, build_matrices, build_matrix
 from .linalg import (
+    ExactMatrix,
     Polynomial,
     Spectrum,
     char_poly,
@@ -491,18 +492,19 @@ def _handle_connectivity_theorem(theorem, sub: str, params: dict) -> Verificatio
     n, k = params["n"], params["k"]
     kind, mode = _SUBCLAIMS[sub]
     bound = theorem.bound(n, k, kind)
-    members = []  # (p, family member, exact matrix, its BlockSpec, exact quotient)
-    for p in range(1, n - k):
-        fam = theorem.family(n, k, p)
-        spec = adjacency_blockspec(fam, kind)
-        members.append((p, fam, build_matrix(build(fam), kind), spec, spec.quotient()))
-    # one solver call per stack, then one exact char-poly pass over members and quotients
-    full_values = eigvals_stack(np.stack([exact.to_numpy() for _, _, exact, _, _ in members]))
-    quotient_values = eigvals_stack(np.stack([b.to_numpy() for *_, b in members]))
-    polys = char_polys([exact for _, _, exact, _, _ in members] + [b for *_, b in members])
+    ps = range(1, n - k)
+    fams = [theorem.family(n, k, p) for p in ps]
+    specs = [adjacency_blockspec(fam, kind) for fam in fams]
+    quotients = [spec.quotient() for spec in specs]
+    # every member from one stacked build, then one solver call per stack and
+    # one exact char-poly pass over members and quotients
+    stack = build_matrices([build(fam) for fam in fams], kind)
+    full_values = eigvals_stack(stack.astype(np.float64))
+    quotient_values = eigvals_stack(np.stack([b.to_numpy() for b in quotients]))
+    polys = char_polys([ExactMatrix(rows) for rows in stack.tolist()] + quotients)
     dev, identities_ok, values = 0.0, True, {}
-    for (p, fam, _, spec, _), m_vals, b_vals, m_poly, b_poly in zip(
-        members, full_values, quotient_values, polys, polys[len(members) :]
+    for p, fam, spec, m_vals, b_vals, m_poly, b_poly in zip(
+        ps, fams, specs, full_values, quotient_values, polys, polys[len(fams) :]
     ):
         full = Spectrum.from_values(m_vals)
         member_dev, member_ok, values[p] = theorem.check_member(n, k, p, kind, fam, b_poly, full)
@@ -626,26 +628,28 @@ _CLIQUESTAR_NOTES = {
 }
 
 
-# claim -> (parameter, family, factored and displayed char polys, name, notes)
+# claim -> (parameter, family, displayed char poly, name, notes)
 _FACTORED_CHARPOLYS = {
     "ex3.5": (
-        "parts", CompleteMultipartite, multipartite_charpoly, multipartite_display_charpoly,
+        "parts", CompleteMultipartite, multipartite_display_charpoly,
         "complete multipartite", {},
     ),
     "ex3.6": (
-        "sizes", CliqueStar, cliquestar_charpoly, cliquestar_display_charpoly,
-        "clique star", _CLIQUESTAR_NOTES,
+        "sizes", CliqueStar, cliquestar_display_charpoly, "clique star", _CLIQUESTAR_NOTES,
     ),
 }
 
 
 def _handle_factored_charpoly(claim: str, item: str, params: dict) -> VerificationReport:
     kind = _ITEM_KINDS[item]
-    name, family, factored_charpoly, display_charpoly, _, _ = _FACTORED_CHARPOLYS[claim]
+    name, family, display_charpoly, _, _ = _FACTORED_CHARPOLYS[claim]
     values = params[name]
-    factored = factored_charpoly(values, kind)
+    fam = family(values)
+    spec = adjacency_blockspec(fam, kind)
+    # the quotient's and the full matrix's polynomials from one char-poly call
+    quotient_poly, direct = char_polys([spec.quotient(), build_matrix(build(fam), kind)])
+    factored = _lifted_charpoly(spec.sizes, spec.p, quotient_poly)
     display = display_charpoly(values, kind)
-    direct = char_poly(build_matrix(build(family(values)), kind))
     exact = factored == direct and display == direct
     return VerificationReport(
         claim_id=f"{claim}.{item}",
@@ -780,7 +784,7 @@ def _catalogue() -> dict[str, ClaimEntry]:
         description="Petersen table: six quotient matrices and six spectral radii",
         handler=_handle_petersen,
     )
-    for claim, (name, family, _, _, family_name, notes) in _FACTORED_CHARPOLYS.items():
+    for claim, (name, family, _, family_name, notes) in _FACTORED_CHARPOLYS.items():
         for item, kind in _ITEM_KINDS.items():
             claims[f"{claim}.{item}"] = ClaimEntry(
                 description=f"{family_name} factored char poly, kind {kind.value}",

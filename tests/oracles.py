@@ -3,12 +3,14 @@
 Deliberately separate algorithms from the package's implementations:
 Bareiss elimination and Lagrange interpolation, and Berkowitz's
 division-free recurrence over exact scalars, instead of multi-modular
-Faddeev-LeVerrier, Floyd-Warshall instead of BFS, max-flow Menger
-instead of cut enumeration, bisection instead of closed forms, per-block
-loops instead of cell-sum reductions, one labeled graph and one permutation
-at a time instead of isomorphism orbits and relabeling tables, one probe
-trial at a time instead of chunks solved by matrix shape, one family member
-at a time instead of a connectivity theorem's members solved as one stack.
+Faddeev-LeVerrier, Floyd-Warshall instead of level-by-level matrix
+products, union-find, Warshall's closure and depth-first search instead of
+reachability products, max-flow Menger instead of batched cut enumeration,
+bisection instead of closed forms, per-block loops instead of cell-sum
+reductions, one labeled graph and one permutation at a time instead of
+isomorphism orbits and relabeling tables, one probe trial at a time
+instead of chunks solved by matrix shape, one family member at a time
+instead of a connectivity theorem's members solved as one stack.
 """
 
 from __future__ import annotations

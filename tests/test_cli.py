@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from eqspec.cli import main
 from eqspec.families import Petersen, build
-from eqspec.graphs import format_graph_file
+from eqspec.graphs import Graph, format_graph_file
 from eqspec.theorems import claim_ids
 
 
@@ -138,6 +138,20 @@ def test_analyze_disconnected_distance_is_input_error(run, tmp_path):
     code, _, err = run(["analyze", str(path), "--kinds", "D"])
     assert code == 2
     assert "not connected" in err
+    assert "Traceback" not in err
+
+
+def test_analyze_past_the_cut_budget_is_input_error(run, tmp_path):
+    # K_26 minus a perfect matching has vertex connectivity 24: every cut
+    # of up to 23 vertices would have to be tried
+    n = 26
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u // 2) != (v // 2)]
+    path = tmp_path / "k26.txt"
+    path.write_text(format_graph_file(Graph(n, edges)))
+    code, out, err = run(["analyze", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "vertex connectivity is capped at 262144 vertex cuts" in err
     assert "Traceback" not in err
 
 

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from eqspec.errors import DisconnectedInput, InvalidParameters, ParseError
+from eqspec.errors import BudgetExceeded, DisconnectedInput, InvalidParameters, ParseError
 from eqspec.families import (
     BidirectedComplete,
     CliqueStar,
@@ -18,10 +18,14 @@ from eqspec.families import (
     Petersen,
     adjacency_blockspec,
     build,
+    parse_family,
 )
 from eqspec.graphs import (
+    ALL_KINDS,
+    CUT_BUDGET,
     Digraph,
     Graph,
+    build_matrices,
     build_matrix,
     distance_matrix,
     format_graph_file,
@@ -41,6 +45,16 @@ from oracles import (
     floyd_warshall,
     strongly_connected_warshall,
     vertex_connectivity_maxflow,
+)
+
+
+# the families whose graph files ``eqspec analyze`` reads in the benchmark
+_ANALYZED_FAMILIES = (
+    "petersen",
+    "knkp-g:12,5,1",
+    "knkp-d:12,5,3",
+    "multipartite:3,4,5",
+    "cliquestar:3,4,5",
 )
 
 
@@ -110,6 +124,27 @@ def test_distance_matrix_symmetry():
     assert not d.is_symmetric()
 
 
+def _kind_by_entry(obj, kind):
+    """One of the six matrices entry by entry, from the edge set (A, L, Q)
+    or from ``floyd_warshall`` (D, DL, DQ), with its row sums."""
+    n = obj.n
+    if kind in ("D", "DL", "DQ"):
+        base = floyd_warshall(obj)
+    else:
+        base = [[0] * n for _ in range(n)]
+        for u, v in obj.arcs if isinstance(obj, Digraph) else obj.edges:
+            base[u][v] = 1
+            if isinstance(obj, Graph):
+                base[v][u] = 1
+    sums = [sum(row) for row in base]
+    sign = -1 if kind in ("L", "DL") else 1
+    diagonal = kind not in ("A", "D")
+    return [
+        [sums[i] if i == j and diagonal else sign * base[i][j] for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def test_distance_matrix_against_floyd_warshall():
     rng = random.Random(22)
     checked = 0
@@ -132,15 +167,34 @@ def test_distance_matrix_against_floyd_warshall():
             mine[i, j] == oracle[i][j] for i in range(obj.n) for j in range(obj.n)
         )
         checked += 1
+    # every connectivity-family member, graphs and digraphs, n = 3..16, one
+    # stack per (family, n, k), all six kinds
+    for family in (KnkpGraph, KnkpDigraph):
+        for n in range(3, 17):
+            for k in range(1, n - 1):
+                members = [build(family(n, k, p)) for p in range(1, n - k)]
+                for kind in ALL_KINDS:
+                    expected = [_kind_by_entry(obj, kind.value) for obj in members]
+                    assert build_matrices(members, kind).tolist() == expected
 
 
-def _distance_kind_by_entry(obj, kind):
-    """DL or DQ entry by entry from ``distance_matrix`` and its row sums."""
-    dist = distance_matrix(obj)
-    tr, n = dist.row_sums(), obj.n
-    if kind == "DL":
-        return [[tr[i] - dist[i, j] if i == j else -dist[i, j] for j in range(n)] for i in range(n)]
-    return [[tr[i] + dist[i, j] if i == j else dist[i, j] for j in range(n)] for i in range(n)]
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        ([build(Petersen()), Graph(10, [(0, 1)]), build(Petersen())], "graph is not connected"),
+        (
+            [build(DirectedCycle(4)), Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])],
+            "digraph is not strongly connected",
+        ),
+    ],
+)
+def test_disconnected_member_of_a_stack_raises(members, message):
+    for kind in ("D", "DL", "DQ"):
+        with pytest.raises(DisconnectedInput) as err:
+            build_matrices(members, kind)
+        assert str(err.value) == message
+    # the adjacency kinds need no distances
+    assert build_matrices(members, "A").shape == (len(members), members[0].n, members[0].n)
 
 
 def test_distance_laplacians_equal_entrywise_oracle():
@@ -160,7 +214,7 @@ def test_distance_laplacians_equal_entrywise_oracle():
     for obj in objs:
         for kind in ("DL", "DQ"):
             built = build_matrix(obj, kind)
-            assert [list(row) for row in built.rows] == _distance_kind_by_entry(obj, kind)
+            assert [list(row) for row in built.rows] == _kind_by_entry(obj, kind)
             assert all(type(x) is int for row in built.rows for x in row)
 
 
@@ -274,6 +328,29 @@ def test_vertex_connectivity_against_maxflow_oracle():
             continue
         assert vertex_connectivity(obj) == vertex_connectivity_maxflow(obj)
         checked += 1
+    # C_12 minus one vertex is an 11-vertex path: its 10 steps take four
+    # squarings of A + I, not three; then the families the CLI benchmark
+    # analyzes
+    cycle = Graph(12, [(i, (i + 1) % 12) for i in range(12)])
+    analyzed = [build(parse_family(text)) for text in _ANALYZED_FAMILIES]
+    for obj in [cycle, *analyzed]:
+        assert vertex_connectivity(obj) == vertex_connectivity_maxflow(obj)
+    assert vertex_connectivity(cycle) == 2
+
+
+def test_vertex_connectivity_cut_budget():
+    # K_n minus a perfect matching has vertex connectivity n - 2; on 18
+    # vertices every cut fits in the budget, on 20 the cuts of 8 vertices
+    # would take the count past it
+    def minus_matching(n):
+        return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u // 2 != v // 2])
+
+    assert CUT_BUDGET == 1 << 18
+    assert vertex_connectivity(minus_matching(18)) == 16
+    with pytest.raises(BudgetExceeded, match="the cuts of 8 of 20 vertices"):
+        vertex_connectivity(minus_matching(20))
+    # complete inputs need no cut search at any order
+    assert vertex_connectivity(Graph(40, [(u, v) for u in range(40) for v in range(u)])) == 39
 
 
 def test_vertex_connectivity_disconnected_raises():

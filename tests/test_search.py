@@ -9,12 +9,15 @@ from itertools import combinations
 import pytest
 from oracles import (
     conjecture_campaign,
+    connected_union_find,
     labeled_scan,
     labeled_scan_table,
     probe_gaps,
     random_blockspec,
     relabeled_masks,
     strong_components,
+    strongly_connected_warshall,
+    vertex_connectivity_maxflow,
 )
 
 from eqspec import search
@@ -41,7 +44,6 @@ from eqspec.search import (
     PROBE_ORDER_BUDGET,
     ScanJob,
     _probe_chunks,
-    _strong_components,
     _orbits,
     conjecture_search,
     dominate_with_extremal,
@@ -95,8 +97,8 @@ def test_enumerate_budget():
 def test_batched_kappa_matches_per_graph_computation():
     import numpy as np
 
-    from eqspec.graphs import is_connected
-    from eqspec.search import _adjacency_batch, _distances_and_connectivity, _kappa_batch
+    from eqspec.graphs import distances, vertex_connectivities
+    from eqspec.search import _adjacency_batch
 
     rng = random.Random(44)
     for directed in (False, True):
@@ -106,14 +108,14 @@ def test_batched_kappa_matches_per_graph_computation():
             sorted(rng.sample(range(1 << len(pairs)), 300)), dtype=np.int64
         )
         adj = _adjacency_batch(masks, n, pairs, directed)
-        _, connected = _distances_and_connectivity(adj)
-        kappa = _kappa_batch(adj, connected)
+        connected = distances(adj)[1].all(axis=(1, 2))
+        kappa = vertex_connectivities(adj, connected)
         for mask, conn, kap in zip(masks, connected, kappa):
             obj = graph_from_mask(n, int(mask), directed)
-            alive = is_strongly_connected(obj) if directed else is_connected(obj)
+            alive = strongly_connected_warshall(obj) if directed else connected_union_find(obj)
             assert conn == alive
             if alive:
-                assert kap == vertex_connectivity(obj)
+                assert kap == vertex_connectivity_maxflow(obj)
             else:
                 assert kap == -1
 
@@ -225,15 +227,29 @@ def test_scan_certificate_note_mentions_scope():
 
 
 def test_strong_components_match_the_dfs_oracle():
+    # the classes of R & R^T, with R the reachability of a digraph minus a
+    # cut, for every 4-vertex digraph at once and every cut of 0..2 vertices
+    import numpy as np
+
+    from eqspec.graphs import _cut_reach
+    from eqspec.search import _adjacency_batch
+
     n = 4
-    removals = [set(cut) for size in range(3) for cut in combinations(range(n), size)]
-    for mask in range(1 << len(pair_table(n, True))):
-        dg = graph_from_mask(n, mask, True)
-        out_sets, in_sets = dg.out_sets(), dg.in_sets()
-        for removed in removals:
-            vertices = [v for v in range(n) if v not in removed]
-            expected = strong_components(vertices, out_sets)
-            assert _strong_components(out_sets, in_sets, removed) == expected
+    pairs = pair_table(n, True)
+    masks = np.arange(1 << len(pairs), dtype=np.int64)
+    adj = _adjacency_batch(masks, n, pairs, True)
+    out_sets = [graph_from_mask(n, int(mask), True).out_sets() for mask in masks]
+    for size in range(3):
+        cuts = iter(combinations(range(n), size))
+        for keep, reach in _cut_reach(adj, size):
+            for j, kept in enumerate(keep.tolist()):
+                assert set(next(cuts)).isdisjoint(kept)
+                strong = reach[:, j] & reach[:, j].transpose(0, 2, 1)
+                for graph, classes in zip(out_sets, strong):
+                    mine = {frozenset(keep[j, row].tolist()) for row in classes}
+                    expected = strong_components(kept, graph)
+                    assert mine == set(map(frozenset, expected))
+        assert next(cuts, None) is None
 
 
 def test_dominate_fixed_point():
