@@ -5,6 +5,8 @@ success paths print JSON on stdout (the one exception is ``family
 --emit-file``, which prints the raw graph file so it can be piped back into
 ``analyze -``). Exit codes: 0 success / claim passed / no counterexample,
 1 verification failure or counterexample found, 2 usage or input errors.
+``analyze`` and ``quotient`` take (di)graphs of at most
+``GRAPH_ORDER_BUDGET`` vertices and raise BudgetExceeded (exit 2) above it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import sys
 
 from . import linalg, quotient, search, theorems
-from .errors import EqspecError
+from .errors import BudgetExceeded, EqspecError
 from .families import adjacency_blockspec, build, format_family, parse_family
 from .graphs import (
     ALL_KINDS,
@@ -29,6 +31,9 @@ from .graphs import (
 )
 
 _SIGNIFICANT_DIGITS = 12
+# largest (di)graph analyze and quotient take; at this order the vertex-cut
+# search of analyze spends its whole cut budget in about 25 s (2-core VM)
+GRAPH_ORDER_BUDGET = 64
 
 _RADIUS_NAMES = {
     MatrixKind.ADJACENCY: "rho",
@@ -61,7 +66,12 @@ def _emit(payload, pretty: bool) -> None:
 
 def _read_graph(path: str):
     text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return parse_graph_file(text)
+    obj = parse_graph_file(text)
+    if obj.n > GRAPH_ORDER_BUDGET:
+        raise BudgetExceeded(
+            f"analyze and quotient take at most {GRAPH_ORDER_BUDGET} vertices, got {obj.n}"
+        )
+    return obj
 
 
 def _parse_kinds(spec: str | None):

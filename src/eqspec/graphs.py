@@ -15,7 +15,6 @@ and fail hard otherwise.
 from __future__ import annotations
 
 import enum
-import math
 from itertools import combinations, islice
 
 import numpy as np
@@ -23,8 +22,8 @@ import numpy as np
 from .errors import BudgetExceeded, DisconnectedInput, InvalidParameters, ParseError
 from .linalg import ExactMatrix
 
-# vertex cuts the connectivity search may try per graph: every cut of a
-# graph on 18 vertices
+# vertex cuts the connectivity search may try per graph: more than every
+# cut of a graph on 18 vertices
 CUT_BUDGET = 1 << 18
 # matrix entries one batch of the distance or cut kernel holds (256 KiB of
 # float32); a larger single matrix, or a single cut, is a batch of its own
@@ -294,9 +293,11 @@ def vertex_connectivities(adj: np.ndarray, connected: np.ndarray) -> np.ndarray:
     Entries where ``connected`` is false are -1; complete graphs, and
     connected ones without a cut of n - 2 or fewer vertices, get n - 1.
     Cuts are tried in increasing size, all cuts of one size at a time over
-    the graphs still unanswered (see ``_cut_reach``). A graph may cost up
-    to ``CUT_BUDGET`` cuts (every cut of a graph on 18 vertices); a cut
-    size that would take the count past it raises BudgetExceeded.
+    the graphs still unanswered (see ``_cut_reach``), and a size stops at
+    the batch where every one of them is broken. A graph may cost up to
+    ``CUT_BUDGET`` cuts (more than every cut of a graph on 18 vertices):
+    a batch that brings the count to it with some graph still unbroken
+    raises BudgetExceeded.
     """
     b, n, _ = adj.shape
     kappa = np.where(connected, n - 1, -1)
@@ -305,18 +306,19 @@ def vertex_connectivities(adj: np.ndarray, connected: np.ndarray) -> np.ndarray:
     for size in range(1, n - 1):
         if not alive.any():
             break
-        tried += math.comb(n, size)
-        if tried > CUT_BUDGET:
-            raise BudgetExceeded(
-                f"vertex connectivity is capped at {CUT_BUDGET} vertex cuts per graph; "
-                f"the cuts of {size} of {n} vertices would exceed it"
-            )
         rows = np.flatnonzero(alive)
         broken = np.zeros(rows.size, dtype=bool)
-        for _, reach in _cut_reach(adj[rows], size):
+        for keep, reach in _cut_reach(adj[rows], size):
             broken |= ~reach.all(axis=(2, 3)).all(axis=1)
             if broken.all():
                 break
+            tried += len(keep)
+            if tried >= CUT_BUDGET:
+                raise BudgetExceeded(
+                    f"vertex connectivity is capped at {CUT_BUDGET} vertex cuts per graph; "
+                    f"a graph on {n} vertices is still unbroken after {tried} cuts "
+                    f"of up to {size} vertices"
+                )
         kappa[rows[broken]] = size
         alive[rows[broken]] = False
     return kappa
@@ -327,10 +329,10 @@ def vertex_connectivity(obj) -> int:
     (destroys strong connectivity for digraphs).
 
     Exact: ``vertex_connectivities`` of the one (di)graph, a batched cut
-    search in increasing cut size that stops at the first size that
-    breaks it. It raises BudgetExceeded past ``CUT_BUDGET`` cuts, so every
-    input on 18 or fewer vertices is answered. Complete inputs have no cut
-    and return n - 1 by convention.
+    search in increasing cut size that stops at the first batch of cuts
+    that breaks it. It raises BudgetExceeded once ``CUT_BUDGET`` cuts leave
+    the input unbroken, so every input on 18 or fewer vertices is answered.
+    Complete inputs have no cut and return n - 1 by convention.
     """
     adj = adjacency_stack([obj])
     _connected_distances(adj, isinstance(obj, Digraph))

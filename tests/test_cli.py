@@ -155,6 +155,25 @@ def test_analyze_past_the_cut_budget_is_input_error(run, tmp_path):
     assert "Traceback" not in err
 
 
+def test_analyze_and_quotient_order_budget(run, tmp_path):
+    def cycle_file(n):
+        path = tmp_path / f"c{n}.txt"
+        path.write_text(format_graph_file(Graph(n, [(i, (i + 1) % n) for i in range(n)])))
+        return str(path)
+
+    code, out, _ = run(["analyze", cycle_file(64)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["vertex_connectivity"] == 2
+    assert payload["transmissions"] == [32 * 32] * 64
+    for argv in (["analyze"], ["quotient", "--partition", "{0|1}", "--kind", "A"]):
+        code, out, err = run([argv[0], cycle_file(65), *argv[1:]])
+        assert code == 2
+        assert out == ""
+        assert "analyze and quotient take at most 64 vertices, got 65" in err
+        assert "Traceback" not in err
+
+
 def test_parse_error_names_line(run, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("graph 3\n0 1\n0 1\n")

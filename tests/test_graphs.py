@@ -340,15 +340,26 @@ def test_vertex_connectivity_against_maxflow_oracle():
 
 def test_vertex_connectivity_cut_budget():
     # K_n minus a perfect matching has vertex connectivity n - 2; on 18
-    # vertices every cut fits in the budget, on 20 the cuts of 8 vertices
-    # would take the count past it
+    # vertices every cut fits in the budget, on 20 the count reaches it
+    # partway through the cuts of 8 vertices
     def minus_matching(n):
         return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u // 2 != v // 2])
 
     assert CUT_BUDGET == 1 << 18
     assert vertex_connectivity(minus_matching(18)) == 16
-    with pytest.raises(BudgetExceeded, match="the cuts of 8 of 20 vertices"):
+    with pytest.raises(BudgetExceeded, match="on 20 vertices .* cuts of up to 8 vertices"):
         vertex_connectivity(minus_matching(20))
+    # the budget counts the cuts tried: C_26(1, 2, 3) has vertex
+    # connectivity 6, and its cuts of up to 5 vertices (83,681) and all
+    # C(26, 6) = 230,230 of size 6 add up to more than the budget, but with
+    # the cycle's vertex 0 labeled 6 and its six neighbours labeled 0-5,
+    # the very first 6-cut, {0, ..., 5}, isolates vertex 6
+    n = 26
+    label = {0: 6, **{pos: i for i, pos in enumerate([1, 2, 3, n - 1, n - 2, n - 3])}}
+    rest = iter(range(7, n))
+    label.update((pos, next(rest)) for pos in range(n) if pos not in label)
+    circulant = Graph(n, [(label[i], label[(i + d) % n]) for i in range(n) for d in (1, 2, 3)])
+    assert vertex_connectivity(circulant) == 6
     # complete inputs need no cut search at any order
     assert vertex_connectivity(Graph(40, [(u, v) for u in range(40) for v in range(u)])) == 39
 
