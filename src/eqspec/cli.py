@@ -16,7 +16,9 @@ import functools
 import json
 import sys
 
-from . import linalg, quotient, search, theorems
+import numpy as np
+
+from . import graphs, linalg, quotient, search, theorems
 from .errors import BudgetExceeded, EqspecError
 from .families import adjacency_blockspec, build, format_family, parse_family
 from .graphs import (
@@ -26,8 +28,6 @@ from .graphs import (
     build_matrix,
     format_graph_file,
     parse_graph_file,
-    transmissions,
-    vertex_connectivity,
 )
 
 _SIGNIFICANT_DIGITS = 12
@@ -106,22 +106,22 @@ def _parse_params(spec: str | None) -> dict:
 def _cmd_analyze(args) -> int:
     obj = _read_graph(args.file)
     kinds = _parse_kinds(args.kinds)
-    matrices = {}
-    summary = {}
+    adj = graphs.adjacency_stack([obj])
+    dist = graphs._connected_distances(adj, isinstance(obj, Digraph))
+    matrices, summary = {}, {}
     for kind in kinds:
-        matrix = build_matrix(obj, kind).to_numpy()
-        spectrum = linalg.eigenvalues(matrix)
-        radius = linalg.spectral_radius(matrix)
+        base = dist if graphs._KIND_FORMS[kind][0] else adj
+        [values] = linalg.eigvals_stack(graphs.matrix_stack(base, kind))
+        radius = summary[_RADIUS_NAMES[kind]] = float(np.max(np.abs(values)))
         matrices[kind.value] = {
-            "spectrum": spectrum.to_json(),
+            "spectrum": linalg.Spectrum.from_values(values).to_json(),
             "spectral_radius": radius,
         }
-        summary[_RADIUS_NAMES[kind]] = radius
     payload = {
         "n": obj.n,
         "directed": isinstance(obj, Digraph),
-        "vertex_connectivity": vertex_connectivity(obj),
-        "transmissions": list(transmissions(obj)),
+        "vertex_connectivity": int(graphs.vertex_connectivities(adj, np.ones(1, dtype=bool))[0]),
+        "transmissions": dist[0].sum(axis=1).tolist(),
         "summary": summary,
         "matrices": matrices,
     }
@@ -134,8 +134,7 @@ def _cmd_quotient(args) -> int:
     part = quotient.parse_partition(args.partition)
     kind = MatrixKind.coerce(args.kind)
     matrix = build_matrix(obj, kind)
-    b_exact = quotient.quotient_matrix(matrix, part)
-    equitable = quotient.is_equitable(matrix, part)
+    equitable, b_exact = quotient._equitable_quotient(matrix, part)
     payload = {
         "kind": kind.value,
         "partition": quotient.format_partition(part),

@@ -5,6 +5,10 @@ quotient holds each block's average row sum. When every block has constant
 row sums (an equitable partition), quotient eigenvalues lift to the full
 matrix, and for matrices whose blocks are J/I combinations the full spectrum
 splits into the quotient spectrum plus explicitly known repeated values.
+
+Every equitability test and quotient comes from one routine over a stack
+of matrices in cell order, ``_equitable_quotients``: a single matrix is a
+stack of one, an ExactMatrix an object-dtype stack tested exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .linalg import (
     eigenvalues,
     eigvals_each,
     eigvals_stack,
-    spectral_radius,
 )
 
 
@@ -113,26 +116,61 @@ def format_partition(part: Partition) -> str:
     return "{" + "|".join(",".join(str(i) for i in cell) for cell in part.cells) + "}"
 
 
-def _check_ground_set(m, part: Partition) -> None:
-    n = m.n if isinstance(m, ExactMatrix) else as_numeric(m).shape[0]
-    if n != part.n:
-        raise DimensionMismatch(
-            f"matrix order {n} does not match partition ground set {part.n}"
-        )
+def _equitable_quotients(a: np.ndarray, labels: np.ndarray, tol: float = 1e-12):
+    """Whether each matrix of a (k, n, n) stack is equitable, and its
+    quotient B: the one routine that sums cells.
 
-
-def _cell_row_sums(a: np.ndarray, part: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums of ``a`` over each cell's columns, with rows in cell order.
-
-    Rows and columns are permuted so that every cell is one contiguous run.
-    Returns the n x t sums and ``starts``, where each cell's run begins, so
-    a second ``reduceat`` over the rows reduces them per cell.
+    Cells are runs of consecutive indices, index u of matrix i in cell
+    ``labels[i, u]`` (as ``_realize_stacks`` gives them). Each row's sum
+    over each cell's columns is one segment of a single ``np.add.reduceat``
+    over the flattened stack, and those sums are reduced over each cell's
+    rows the same way, so a matrix's results do not depend on the rest of
+    the stack. A block is equitable when its row sums spread by at most
+    ``tol``, real and imaginary parts tested apart; B is the block totals
+    over the cell sizes, which are Fractions for an object-dtype stack of
+    exact scalars, so that its B is exact. Returns the (k,) flags and the Bs.
     """
-    order = np.fromiter(
-        (v for cell in part.cells for v in cell), dtype=np.intp, count=part.n
+    k, n = labels.shape
+    blocks = labels[:, -1] + 1
+    width = int(blocks.max())
+    first = np.ones((k, n), dtype=bool)
+    first[:, 1:] = labels[:, 1:] != labels[:, :-1]
+    # one segment per row and cell of every matrix, in that order; row u of
+    # matrix i keeps its sums in its first t_i columns
+    segments = np.flatnonzero(np.repeat(first, n, axis=0))
+    sums = np.zeros((k * n, width), dtype=a.dtype)
+    sums[np.arange(width) < np.repeat(blocks, n)[:, None]] = np.add.reduceat(a.ravel(), segments)
+    runs = np.flatnonzero(first)  # the first row of each cell of every matrix
+    sizes = np.diff(np.append(runs, k * n))
+    if a.dtype == object:
+        sizes = np.array([Fraction(int(size)) for size in sizes], dtype=object)
+    uneven = np.zeros(len(runs), dtype=bool)
+    # numpy orders complex numbers lexicographically, so each part is
+    # spread-tested on its own
+    for values in (sums.real, sums.imag) if np.iscomplexobj(sums) else (sums,):
+        spread = np.maximum.reduceat(values, runs) - np.minimum.reduceat(values, runs)
+        uneven |= (spread > tol).any(axis=1)
+    block_starts = np.cumsum(blocks) - blocks
+    equitable = ~np.logical_or.reduceat(uneven, block_starts)
+    rows = np.add.reduceat(sums, runs) / sizes[:, None]
+    return equitable, [rows[s : s + t, :t] for s, t in zip(block_starts, blocks)]
+
+
+def _equitable_quotient(m, part: Partition, tol: float = 1e-12):
+    """``is_equitable`` and ``quotient_matrix`` of one matrix, as a stack of
+    one in cell order; an ExactMatrix exactly (tol 0), with an exact B."""
+    exact = isinstance(m, ExactMatrix)
+    a = np.array(m.rows, dtype=object) if exact else as_numeric(m)
+    if len(a) != part.n:
+        raise DimensionMismatch(
+            f"matrix order {len(a)} does not match partition ground set {part.n}"
+        )
+    order = [v for cell in part.cells for v in cell]
+    labels = np.repeat(np.arange(part.t), part.sizes)[None]
+    [equitable], [b] = _equitable_quotients(
+        a[np.ix_(order, order)][None], labels, 0 if exact else tol
     )
-    starts = np.cumsum((0,) + part.sizes[:-1])
-    return np.add.reduceat(a[np.ix_(order, order)], starts, axis=1), starts
+    return bool(equitable), ExactMatrix(b.tolist()) if exact else b
 
 
 def quotient_matrix(m, part: Partition):
@@ -141,23 +179,7 @@ def quotient_matrix(m, part: Partition):
     Exact input yields an exact quotient (Fraction entries collapse to int
     when integral); numeric input yields a float matrix.
     """
-    _check_ground_set(m, part)
-    if isinstance(m, ExactMatrix):
-        rows = []
-        for ci in part.cells:
-            size = len(ci)
-            rows.append(
-                [
-                    _normalize_scalar(
-                        Fraction(sum(m[u, v] for u in ci for v in cj), size)
-                    )
-                    for cj in part.cells
-                ]
-            )
-        return ExactMatrix(rows)
-    sums, starts = _cell_row_sums(as_numeric(m), part)
-    sizes = np.array(part.sizes, dtype=float)
-    return np.add.reduceat(sums, starts, axis=0) / sizes[:, None]
+    return _equitable_quotient(m, part)[1]
 
 
 def is_equitable(m, part: Partition, tol: float = 1e-12) -> bool:
@@ -166,23 +188,7 @@ def is_equitable(m, part: Partition, tol: float = 1e-12) -> bool:
     Exact inputs are tested exactly; floats within an absolute tolerance
     that only absorbs representation noise on integer-valued data.
     """
-    _check_ground_set(m, part)
-    if isinstance(m, ExactMatrix):
-        for ci in part.cells:
-            for cj in part.cells:
-                sums = {sum(m[u, v] for v in cj) for u in ci}
-                if len(sums) > 1:
-                    return False
-        return True
-    sums, starts = _cell_row_sums(as_numeric(m), part)
-    # numpy orders complex numbers lexicographically, so each part is
-    # spread-tested on its own
-    for values in (sums.real, sums.imag) if np.iscomplexobj(sums) else (sums,):
-        top = np.maximum.reduceat(values, starts, axis=0)
-        bottom = np.minimum.reduceat(values, starts, axis=0)
-        if np.any(top - bottom > tol):
-            return False
-    return True
+    return _equitable_quotient(m, part, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -339,37 +345,6 @@ def _realize_stacks(trials, den: int = 1):
         yield members, a, labels
 
 
-def _equitable_quotients(a: np.ndarray, labels: np.ndarray):
-    """``is_equitable`` (at its default tol) and ``quotient_matrix`` for a
-    (k, n, n) stack of matrices whose blocks are runs of consecutive rows
-    (``labels`` as ``_realize_stacks`` gives them), from one batched
-    cell-sum product.
-
-    Returns the equitable flags, a (k,) array, and the k quotient matrices.
-    The cell sums are summed in another order than ``_cell_row_sums``
-    does, so they are equal bit for bit where every partial sum is exact,
-    as for the probes' matrices with entries in quarters.
-    """
-    k, n = labels.shape
-    blocks = labels[:, -1] + 1
-    width = int(blocks.max())
-    indicator = np.zeros((k, n, width))
-    indicator[np.arange(k)[:, None], np.arange(n), labels] = 1.0
-    sums = (a @ indicator).reshape(k * n, width)
-    # one run of rows per block of every matrix, in order
-    first = np.ones(k * n, dtype=bool)
-    first[1:] = labels.ravel()[1:] != labels.ravel()[:-1]
-    first[::n] = True
-    starts = np.flatnonzero(first)
-    spread = np.maximum.reduceat(sums, starts) - np.minimum.reduceat(sums, starts)
-    block_starts = np.cumsum(blocks) - blocks
-    equitable = ~np.logical_or.reduceat((spread > 1e-12).any(axis=1), block_starts)
-    sizes = np.diff(np.append(starts, k * n))
-    rows = np.add.reduceat(sums, starts) / sizes[:, None]
-    quotients = [rows[s : s + t, :t] for s, t in zip(block_starts, blocks)]
-    return equitable, quotients
-
-
 def stacked_spectra(trials, den: int = 1, general: bool = False):
     """Eigenvalues of many trials' realized matrices M and quotients B,
     for trials whose coefficients are over ``den``.
@@ -378,13 +353,12 @@ def stacked_spectra(trials, den: int = 1, general: bool = False):
     solver's when ``general`` is set), and two flags per trial: M has a
     negative entry; the natural partition is equitable for M, by the
     ``is_equitable`` rule. The Ms of one order are realized together and
-    their Bs read from one batched cell-sum product; the eigenvalues come
+    their Bs read from one ``_equitable_quotients`` call; the eigenvalues come
     from one solver call per group of equal order and symmetry.
     """
     count = len(trials)
     m_values, quotients = [None] * count, [None] * count
-    negative = np.zeros(count, dtype=bool)
-    equitable = np.zeros(count, dtype=bool)
+    negative, equitable = np.zeros((2, count), dtype=bool)
     for members, a, labels in _realize_stacks(trials, den):
         negative[members] = (a < 0).any(axis=(1, 2))
         equitable[members], group_quotients = _equitable_quotients(a, labels)
@@ -440,10 +414,10 @@ def lift_check(m, part: Partition, tol: float = 1e-7) -> QuotientReport:
     Requires an equitable partition; the lift then holds structurally, so
     ``lifted=False`` would indicate a numerical pathology worth reporting.
     """
-    if not is_equitable(m, part):
-        raise NotEquitable("lift_check requires an equitable partition")
     a = as_numeric(m)
-    b = quotient_matrix(a, part)
+    equitable, b = _equitable_quotient(a, part)
+    if not equitable:
+        raise NotEquitable("lift_check requires an equitable partition")
     lifted = eigenvalues(a, cluster_tol=0.0).contains(
         eigenvalues(b, cluster_tol=0.0), tol=tol
     )
@@ -468,7 +442,7 @@ def interlacing_check(m, part: Partition, tol: float = 1e-9) -> InterlacingRepor
     a = as_numeric(m)
     if not np.array_equal(a, a.T):
         raise NotSymmetric("interlacing_check requires a symmetric matrix")
-    _check_ground_set(a, part)
+    equitable, _ = _equitable_quotient(a, part)
     lam = np.sort(np.linalg.eigvalsh(a))[::-1]
     # the quotient is similar to S^T M S with S the orthonormal indicator
     # matrix, so take the symmetric form (the raw quotient is asymmetric
@@ -488,7 +462,7 @@ def interlacing_check(m, part: Partition, tol: float = 1e-9) -> InterlacingRepor
         if head and tail:
             tight = True
             break
-    ok = (not tight) or is_equitable(a, part)
+    ok = (not tight) or equitable
     return InterlacingReport(interlaces=interlaces, tight=tight, tight_implies_equitable_ok=ok)
 
 
@@ -511,28 +485,31 @@ def conjecture_probe(m, part: Partition, tol: float = 1e-7) -> ProbeReport:
     a = as_numeric(m)
     if np.any(a < 0):
         raise NotNonnegative("conjecture_probe requires a nonnegative matrix")
-    if not is_equitable(a, part):
-        raise NotEquitable("conjecture_probe requires an equitable partition")
-    b = quotient_matrix(a, part)
-    rho_b = float(np.max(_eigvals(b, general=True).real))
-    rho_m = spectral_radius(a)
-    return ProbeReport(holds=abs(rho_b - rho_m) <= tol, rho_B=rho_b, rho_M=rho_m)
+    equitable, b = _equitable_quotient(a, part)
+    return _probe_verdict([_eigvals(a)], [_eigvals(b, general=True)], [False], [equitable], tol)[1]
 
 
-def _first_failing_probe(trials, den: int, tol: float = 1e-7) -> tuple[int, ProbeReport] | None:
-    """The index of the first trial (coefficients over ``den``) whose
-    ``conjecture_probe(spec.to_numpy(), spec.partition(), tol)`` does not
-    hold for its BlockSpec, with that report, or None when every probe
-    holds. Raises what that probe raises at the first trial it rejects.
+def _probe_verdict(m_values, b_values, negative, equitable, tol: float) -> tuple[int, ProbeReport]:
+    """The ``conjecture_probe`` verdict on a run of trials, from each trial's
+    eigenvalues of M and of B, and whether M has a negative entry and its
+    partition is equitable, as ``stacked_spectra`` gives them.
+
+    A trial holds when rho_B, the largest real part of B's eigenvalues, and
+    rho_M, the largest modulus of M's, differ by at most ``tol``. Returns
+    the first trial that does not hold, or the last when all do, with its
+    report; raises what the probe raises if that trial is rejected.
     """
-    m_values, b_values, negative, equitable = stacked_spectra(trials, den, general=True)
-    for j, (m_vals, b_vals) in enumerate(zip(m_values, b_values)):
-        if negative[j]:
-            raise NotNonnegative("conjecture_probe requires a nonnegative matrix")
-        if not equitable[j]:
-            raise NotEquitable("conjecture_probe requires an equitable partition")
-        rho_b = float(b_vals.real.max())
-        rho_m = float(np.abs(m_vals).max())
-        if not abs(rho_b - rho_m) <= tol:
-            return j, ProbeReport(holds=False, rho_B=rho_b, rho_M=rho_m)
-    return None
+
+    def top(values, measure):
+        starts = np.cumsum([0] + [len(v) for v in values[:-1]])
+        return np.maximum.reduceat(measure(np.concatenate(values)), starts)
+
+    rho_b, rho_m = top(b_values, np.real), top(m_values, np.abs)
+    holds = np.abs(rho_b - rho_m) <= tol
+    failing = np.flatnonzero(np.logical_or(negative, np.logical_not(equitable)) | ~holds)
+    j = int(failing[0]) if failing.size else len(holds) - 1
+    if negative[j]:
+        raise NotNonnegative("conjecture_probe requires a nonnegative matrix")
+    if not equitable[j]:
+        raise NotEquitable("conjecture_probe requires an equitable partition")
+    return j, ProbeReport(holds=bool(holds[j]), rho_B=float(rho_b[j]), rho_M=float(rho_m[j]))

@@ -50,7 +50,7 @@ from .graphs import (
     vertex_connectivities,
     vertex_connectivity,
 )
-from .quotient import BlockSpec, ProbeReport, _as_spec, _first_failing_probe
+from .quotient import BlockSpec, ProbeReport, _as_spec, _probe_verdict, stacked_spectra
 
 UNDIRECTED_VERTEX_BUDGET = 7  # 2**21 labeled graphs
 DIRECTED_VERTEX_BUDGET = 5  # 2**20 labeled digraphs
@@ -610,10 +610,8 @@ def conjecture_search(
     _check_probe_parameters(trials, n_range, t_range)
     done = 0
     for chunk in _probe_chunks(trials, seed, n_range, t_range, (0, 40)):
-        failure = _first_failing_probe(chunk, 4, tol)
-        if failure is not None:
-            j, report = failure
-            spec = _as_spec(chunk[j], 4)
-            return ConjectureSearchResult(done + j + 1, seed, spec, report)
+        j, report = _probe_verdict(*stacked_spectra(chunk, 4, general=True), tol)
+        if not report.holds:
+            return ConjectureSearchResult(done + j + 1, seed, _as_spec(chunk[j], 4), report)
         done += len(chunk)
     return ConjectureSearchResult(trials, seed, None, None)

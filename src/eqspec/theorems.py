@@ -582,17 +582,15 @@ def _handle_petersen(params: dict) -> VerificationReport:
     part = Partition.from_sizes((5, 5))
     dev = 0.0
     quotients_exact = True
-    radii = {}
+    radii, quotients = {}, {}
     for kind in MatrixKind:
         matrix = build_matrix(graph, kind)
-        quotient = quotient_matrix(matrix, part)
-        quotients_exact &= quotient.rows == _PETERSEN_QUOTIENTS[kind]
+        quotients[kind] = quotient_matrix(matrix, part)
+        quotients_exact &= quotients[kind].rows == _PETERSEN_QUOTIENTS[kind]
         radii[kind.value] = spectral_radius(matrix.to_numpy())
         dev = max(dev, abs(radii[kind.value] - _PETERSEN_RADII[kind]))
     # documented negative case: the Laplacian quotient radius is not mu
-    rho_bl = spectral_radius(
-        quotient_matrix(build_matrix(graph, MatrixKind.LAPLACIAN), part).to_numpy()
-    )
+    rho_bl = spectral_radius(quotients[MatrixKind.LAPLACIAN].to_numpy())
     negative_ok = abs(rho_bl - 2.0) <= _NUMERIC_TOL and abs(radii["L"] - 5.0) <= _NUMERIC_TOL
     passed = quotients_exact and negative_ok and dev <= _NUMERIC_TOL
     return VerificationReport(

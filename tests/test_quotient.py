@@ -46,7 +46,12 @@ from eqspec.quotient import (
     stacked_spectra,
 )
 
-from oracles import is_equitable_blockwise, quotient_matrix_blockwise, realize_blockwise
+from oracles import (
+    is_equitable_blockwise,
+    quotient_matrix_blockwise,
+    quotient_matrix_by_rows,
+    realize_blockwise,
+)
 
 PETERSEN_PART = Partition.from_sizes((5, 5))
 
@@ -150,6 +155,9 @@ def test_discrete_partition_quotient_is_identity_transform():
 def test_quotient_matrix_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         quotient_matrix(ExactMatrix.zeros(3), Partition.from_sizes((2, 2)))
+    # the ground set is checked before equitability
+    with pytest.raises(DimensionMismatch):
+        lift_check(-np.ones((3, 3)), Partition.from_sizes((2, 2)))
 
 
 def test_quotient_preserves_constant_row_sums():
@@ -228,6 +236,13 @@ def test_numeric_branches_equal_blockwise_oracle_on_integer_input():
         verdicts.add(expected)
         assert is_equitable(a, part) is expected
         assert np.array_equal(quotient_matrix(a, part), quotient_matrix_blockwise(a, part))
+        # the same matrix in exact thirds, with the same non-contiguous cells
+        thirds = ExactMatrix([[Fraction(int(x), 3) for x in row] for row in a])
+        assert is_equitable(thirds, part) is expected
+        assert quotient_matrix(thirds, part).rows == tuple(
+            tuple(Fraction(int(a[np.ix_(ci, cj)].sum()), 3 * len(ci)) for cj in part.cells)
+            for ci in part.cells
+        )
     assert verdicts == {True, False}
 
 
@@ -244,6 +259,7 @@ def test_numeric_branches_match_blockwise_oracle_on_real_and_complex_input():
             gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)),
         ):
             b = quotient_matrix(m, part)
+            assert b.tobytes() == quotient_matrix_by_rows(m, part).tobytes()
             assert b.dtype == quotient_matrix_blockwise(m, part).dtype
             # only the summation order differs: 1e-12 is far above its
             # rounding error on entries of magnitude below 10
@@ -451,8 +467,10 @@ def test_equitable_quotients_match_per_matrix_checks():
     assert 0 < equitable.sum() < 30
     for j, spec in enumerate(specs):
         part = spec.partition()
-        assert equitable[j] == is_equitable(a[j], part) == (j % 3 != 0 or spec.sizes[0] == 1)
-        assert quotients[j].tobytes() == quotient_matrix(a[j], part).tobytes()
+        expected = j % 3 != 0 or spec.sizes[0] == 1
+        assert equitable[j] == is_equitable_blockwise(a[j], part) == expected
+        # entries in quarters: every partial sum is exact in any order
+        assert quotients[j].tobytes() == quotient_matrix_blockwise(a[j], part).tobytes()
         if j % 3:
             # a BlockSpec is equitable by construction; B is its exact quotient
             assert quotients[j].tobytes() == spec.quotient().to_numpy().tobytes()
@@ -577,6 +595,9 @@ def test_probe_rejects_signed_matrices():
     for kind in ("L", "DL"):
         with pytest.raises(NotNonnegative):
             conjecture_probe(build_matrix(g, kind).to_numpy(), PETERSEN_PART)
+    # the sign is checked before the partition's ground set
+    with pytest.raises(NotNonnegative):
+        conjecture_probe(-np.ones((3, 3)), PETERSEN_PART)
 
 
 def test_probe_all_ones_any_partition():
