@@ -69,7 +69,6 @@ from .linalg import (
 from .quotient import (
     BlockSpec,
     Partition,
-    block_spectrum,
     conjecture_probe,
     interlacing_check,
     is_equitable,

@@ -544,40 +544,31 @@ def _eigvals(a: np.ndarray, general: bool = False) -> np.ndarray:
         raise ConvergenceFailure(str(exc)) from exc
 
 
-def eigvals_each(mats, general: bool = False) -> list[np.ndarray]:
-    """The eigenvalues of every square matrix in ``mats``, with one solver
-    call per group of matrices that share an order and symmetry (see
-    ``eigvals_stack``)."""
-    by_order: dict[int, list[int]] = {}
-    for i, m in enumerate(mats):
-        by_order.setdefault(m.shape[0], []).append(i)
-    out: list[np.ndarray] = [None] * len(mats)
-    for members in by_order.values():
-        stack = np.stack([mats[i] for i in members])
-        for i, values in zip(members, eigvals_stack(stack, general)):
-            out[i] = values
-    return out
-
-
-def eigvals_stack(stack: np.ndarray, general: bool = False) -> list[np.ndarray]:
-    """The eigenvalues of each matrix of a (k, n, n) stack, with one solver
-    call for its real symmetric matrices and one for the rest.
-
-    Real symmetric matrices go to the symmetric solver unless ``general``
-    is set, the rest to the general one. Each matrix gets the values a call
-    on it alone gives, bit for bit; a real value may come back as complex
-    with a zero imaginary part, when another matrix of its group has
-    complex eigenvalues.
-    """
+def _eigvals_groups(stack: np.ndarray, general: bool = False):
+    """The eigenvalues of a (k, n, n) stack as (indices, values) groups, from
+    one symmetric solver call for its real symmetric matrices (unless
+    ``general`` is set) and one general call for the rest. Each matrix gets
+    the values a call on it alone gives, bit for bit."""
     if general or stack.dtype.kind == "c":
         symmetric = np.zeros(len(stack), dtype=bool)
     else:
         symmetric = (stack == np.swapaxes(stack, 1, 2)).all(axis=(1, 2))
-    out: list[np.ndarray] = [None] * len(stack)
     for sym, group in ((True, symmetric), (False, ~symmetric)):
-        if group.any():
-            for i, values in zip(np.flatnonzero(group), _eigvals(stack[group], not sym)):
-                out[i] = values
+        members = np.flatnonzero(group)
+        if members.size:
+            # a run of the stack is solved in place, anything else copied
+            run = members[-1] - members[0] + 1 == members.size
+            part = stack[members[0] : members[-1] + 1] if run else stack[group]
+            yield members, _eigvals(part, not sym)
+
+
+def eigvals_stack(stack: np.ndarray, general: bool = False) -> list[np.ndarray]:
+    """Each matrix's eigenvalues from ``_eigvals_groups``: a real value may be
+    complex with a zero imaginary part, when its group has complex ones."""
+    out: list[np.ndarray] = [None] * len(stack)
+    for members, values in _eigvals_groups(stack, general):
+        for i, matrix_values in zip(members, values):
+            out[i] = matrix_values
     return out
 
 

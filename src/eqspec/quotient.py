@@ -32,11 +32,10 @@ from .linalg import (
     Scalar,
     Spectrum,
     _eigvals,
+    _eigvals_groups,
     _normalize_scalar,
     as_numeric,
     eigenvalues,
-    eigvals_each,
-    eigvals_stack,
 )
 
 
@@ -128,7 +127,8 @@ def _equitable_quotients(a: np.ndarray, labels: np.ndarray, tol: float = 1e-12):
     the stack. A block is equitable when its row sums spread by at most
     ``tol``, real and imaginary parts tested apart; B is the block totals
     over the cell sizes, which are Fractions for an object-dtype stack of
-    exact scalars, so that its B is exact. Returns the (k,) flags and the Bs.
+    exact scalars, so that its B is exact. Returns the (k,) flags and the
+    Bs padded with zeros to the most blocks t: matrix i's is ``[i, :t_i, :t_i]``.
     """
     k, n = labels.shape
     blocks = labels[:, -1] + 1
@@ -153,7 +153,9 @@ def _equitable_quotients(a: np.ndarray, labels: np.ndarray, tol: float = 1e-12):
     block_starts = np.cumsum(blocks) - blocks
     equitable = ~np.logical_or.reduceat(uneven, block_starts)
     rows = np.add.reduceat(sums, runs) / sizes[:, None]
-    return equitable, [rows[s : s + t, :t] for s, t in zip(block_starts, blocks)]
+    quotients = np.zeros((k, width, width), dtype=rows.dtype)
+    quotients[np.arange(width) < blocks[:, None]] = rows
+    return equitable, quotients
 
 
 def _equitable_quotient(m, part: Partition, tol: float = 1e-12):
@@ -259,7 +261,7 @@ class BlockSpec:
         ``l_i + p_i`` is taken exactly before the conversion, so the array
         equals ``realize_block_matrix(self).to_numpy()`` bit for bit.
         """
-        [(_, a, _)] = _realize_stacks(*_as_trials([self]))
+        [(_, a, _)] = _realize_stacks(*_as_trials([self]), 1)
         return a[0]
 
     def to_json(self) -> dict:
@@ -286,20 +288,31 @@ class BlockSpec:
         )
 
 
-def _as_trials(specs) -> tuple[list, int]:
-    """BlockSpecs as probe trials, over the least common denominator of all
-    their coefficients, and that denominator. A trial is a BlockSpec as
-    plain ints: its sizes, and its coefficients l, p and s (row by row) as
-    numerators over a denominator that a campaign's trials share."""
+def _as_trials(specs) -> tuple[tuple, int]:
+    """BlockSpecs as a segment of probe trials, and the least common
+    denominator of their coefficients. A segment is three flat int arrays:
+    each trial's block count t, its sizes, and its 2t + t*t coefficients
+    (l, p, s row by row) as numerators over the campaign's denominator."""
     coeffs = [(*spec.l, *spec.p, *(x for row in spec.s for x in row)) for spec in specs]
     den = math.lcm(*(Fraction(x).denominator for c in coeffs for x in c))
-    return [(list(spec.sizes), [int(x * den) for x in c]) for spec, c in zip(specs, coeffs)], den
+    numerators = np.array([int(x * den) for c in coeffs for x in c], dtype=object)
+    sizes = np.concatenate([spec.sizes for spec in specs])
+    return (np.array([spec.t for spec in specs]), sizes, numerators), den
 
 
-def _as_spec(trial, den: int) -> BlockSpec:
-    """The BlockSpec of a trial whose coefficients are over ``den``."""
-    sizes, c = trial[0], [Fraction(x, den) for x in trial[1]]
-    t = len(sizes)
+def _segment_trials(segment):
+    """Each trial of a segment as a (sizes, coefficients) pair of lists."""
+    blocks, sizes, coeffs = (part.tolist() for part in segment)
+    at = drawn = 0
+    for t in blocks:
+        yield sizes[at : at + t], coeffs[drawn : drawn + t * (t + 2)]
+        at, drawn = at + t, drawn + t * (t + 2)
+
+
+def _as_spec(segment, j: int, den: int) -> BlockSpec:
+    """The BlockSpec of a segment's trial j, its coefficients over ``den``."""
+    sizes, c = list(_segment_trials(segment))[j]
+    c, t = [Fraction(x, den) for x in c], len(sizes)
     s = tuple(tuple(c[(2 + i) * t : (3 + i) * t]) for i in range(t))
     return BlockSpec(tuple(sizes), tuple(c[:t]), tuple(c[t : 2 * t]), s)
 
@@ -307,64 +320,74 @@ def _as_spec(trial, den: int) -> BlockSpec:
 _EXACT = 1 << 52  # ints below this in size, and sums of two, are exact floats
 
 
-def _realize_stacks(trials, den: int = 1):
-    """Realize trials as floats, one stack per matrix order n.
-
-    Yields the indices of each order's trials, the (k, n, n) stack of their
-    realized matrices and the (k, n) block index of every row. Each entry
-    is ``float`` of the exact entry: one correctly rounded division of its
-    exact numerator by ``den``, where the diagonal's numerator is the sum
-    of the l_i's and p_i's.
+def _realize_stacks(segment, den: int, window: int):
+    """Realize a segment's trials as floats, one matrix order n at a time,
+    in stacks of at most ``window`` entries (a larger matrix alone), each
+    by block count: yields its trial indices, (k, n, n) matrices and (k, n)
+    row block indices. Each entry is one correctly rounded division by
+    ``den`` of its exact numerator (l_i + p_i on the diagonal), gathered
+    from block tables padded to the stack's most blocks with unread values.
     """
-    by_blocks: dict[int, list[int]] = {}
-    for j, (sizes, _) in enumerate(trials):
-        by_blocks.setdefault(len(sizes), []).append(j)
-    # every trial's blocks padded to the most any has: its table (l on the
-    # diagonal, s off it), its diagonal entries l + p, and its sizes
-    k, width = len(trials), max(by_blocks)
-    table, diagonals = np.zeros((k, width, width)), np.zeros((k, width))
-    sizes = np.zeros((k, width), dtype=np.intp)
-    for t, members in by_blocks.items():
-        coeffs = [trials[j][1] for j in members]
-        c = np.array(coeffs)
-        if not (c.dtype.kind == "i" and -_EXACT < c.min() <= c.max() < _EXACT and den < _EXACT):
-            c = np.array(coeffs, dtype=object)  # Python ints divide exactly
-        blocks = c[:, 2 * t :].reshape(-1, t, t) / den
-        blocks[:, range(t), range(t)] = c[:, :t] / den
-        table[members, :t, :t] = blocks
-        diagonals[members, :t] = (c[:, :t] + c[:, t : 2 * t]) / den
-        sizes[members, :t] = [trials[j][0] for j in members]
-    ends = np.cumsum(sizes, axis=1)
-    for n in np.unique(ends[:, -1]):
-        members = np.flatnonzero(ends[:, -1] == n)
-        labels = (np.arange(n)[:, None] >= ends[members, None, :]).sum(axis=2)
-        which = members[:, None]
-        a = table[which[:, :, None], labels[:, :, None], labels[:, None, :]]
-        diagonal = np.arange(n)
-        a[:, diagonal, diagonal] = diagonals[which, labels]
-        yield members, a, labels
+    blocks, sizes, coeffs = segment[0].astype(np.intp), segment[1].astype(np.intp), segment[2]
+    if den >= _EXACT or coeffs.dtype == object:
+        exact = den < _EXACT and -_EXACT < coeffs.min() and coeffs.max() < _EXACT
+        coeffs = coeffs.astype(np.int64 if exact else object)  # Python ints divide exactly
+    first, drawn = np.cumsum(blocks) - blocks, blocks * (blocks + 2)
+    coeff_first, orders = np.cumsum(drawn) - drawn, np.add.reduceat(sizes, first)
+    by_order = np.lexsort((blocks, orders))
+    for same in np.split(by_order, np.flatnonzero(np.diff(orders[by_order])) + 1):
+        n = int(orders[same[0]])
+        step = max(1, window // (n * n))
+        for members in (same[at : at + step] for at in range(0, len(same), step)):
+            t = blocks[members, None]
+            block = np.arange(int(t.max()))
+            at_size = np.minimum(first[members, None] + block, len(sizes) - 1)
+            ends = np.cumsum(np.where(block < t, sizes[at_size], 0), axis=1)
+            labels = (np.arange(n)[:, None] >= ends[:, None, :]).sum(axis=2)
+            at_l = coeff_first[members, None] + block
+            at_s = coeff_first[members, None, None] + t[:, :, None] * (block[:, None] + 2) + block
+            l, p, s = (coeffs[np.minimum(at, len(coeffs) - 1)] for at in (at_l, at_l + t, at_s))
+            if l.dtype != object:
+                l = l.astype(np.int64)  # so that l + p cannot overflow
+            table = np.asarray(s / den, dtype=float)
+            table[:, block, block] = l / den
+            diagonal = np.asarray((l + p) / den, dtype=float)
+            which = np.arange(len(members))[:, None]
+            a = table[which[:, :, None], labels[:, :, None], labels[:, None, :]]
+            a[:, range(n), range(n)] = diagonal[which, labels]
+            yield members, a, labels
+            del a  # with the caller's reference, before the next is gathered
 
 
-def stacked_spectra(trials, den: int = 1, general: bool = False):
-    """Eigenvalues of many trials' realized matrices M and quotients B,
-    for trials whose coefficients are over ``den``.
-
-    Returns the eigenvalues of every M, those of every B (the general
-    solver's when ``general`` is set), and two flags per trial: M has a
-    negative entry; the natural partition is equitable for M, by the
-    ``is_equitable`` rule. The Ms of one order are realized together and
-    their Bs read from one ``_equitable_quotients`` call; the eigenvalues come
-    from one solver call per group of equal order and symmetry.
-    """
-    count = len(trials)
-    m_values, quotients = [None] * count, [None] * count
+def stacked_spectra(segment, window: int, den: int = 1, general: bool = False, tops: bool = False):
+    """Eigenvalues of a segment's matrices M and quotients B (the general
+    solver's when ``general`` is set), coefficients over ``den``, and two
+    flags: M has a negative entry; its natural partition is equitable by
+    the ``is_equitable`` rule. With ``tops``, each trial's largest modulus
+    of M's values and largest real part of B's instead, all in trial order.
+    Each stack of ``_realize_stacks`` takes one ``_equitable_quotients``
+    call and one solver call per symmetry, its Bs one per block count."""
+    blocks, count = segment[0], len(segment[0])
     negative, equitable = np.zeros((2, count), dtype=bool)
-    for members, a, labels in _realize_stacks(trials, den):
+    m_out, b_out = (np.empty(count), np.empty(count)) if tops else ([None] * count, [None] * count)
+
+    def keep(out, members, values, measure):
+        for j, kept in zip(members.tolist(), measure(values).max(axis=1) if tops else values):
+            out[j] = kept
+
+    for members, a, labels in _realize_stacks(segment, den, window):
         negative[members] = (a < 0).any(axis=(1, 2))
-        equitable[members], group_quotients = _equitable_quotients(a, labels)
-        for j, b, values in zip(members, group_quotients, eigvals_stack(a)):
-            quotients[j], m_values[j] = b, values
-    return m_values, eigvals_each(quotients, general), negative, equitable
+        equitable[members], quotients = _equitable_quotients(a, labels)
+        for group, values in _eigvals_groups(a):
+            keep(m_out, members[group], values, np.abs)
+        del a
+        # each block count's Bs are a run of the stack
+        counts, starts = np.unique(blocks[members], return_index=True)
+        ends = [*starts[1:].tolist(), len(members)]
+        for t, lo, hi in zip(counts.tolist(), starts.tolist(), ends):
+            for group, values in _eigvals_groups(quotients[lo:hi, :t, :t], general):
+                keep(b_out, members[lo + group], values, np.real)
+    return m_out, b_out, negative, equitable
 
 
 def realize_block_matrix(spec: BlockSpec) -> ExactMatrix:
@@ -376,18 +399,9 @@ def realize_block_matrix(spec: BlockSpec) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def block_spectrum(spec: BlockSpec) -> Spectrum:
-    """Full spectrum of the realized matrix without building it.
-
-    Quotient eigenvalues plus p_i repeated (n_i - 1) times; total
-    multiplicity is the matrix order.
-    """
-    return _lifted_spectrum(spec.sizes, spec.p, _eigvals(spec.quotient().to_numpy()))
-
-
 def _lifted_spectrum(sizes, p, quotient_values) -> Spectrum:
-    """``block_spectrum`` from the block sizes, the p_i and the quotient's
-    eigenvalues."""
+    """A block matrix's full spectrum: its quotient's eigenvalues plus each
+    p_i repeated (n_i - 1) times, so the total multiplicity is the order."""
     pairs = list(Spectrum.from_values(quotient_values, cluster_tol=0.0).pairs)
     for p_i, sz in zip(p, sizes):
         if sz > 1:
@@ -486,25 +500,20 @@ def conjecture_probe(m, part: Partition, tol: float = 1e-7) -> ProbeReport:
     if np.any(a < 0):
         raise NotNonnegative("conjecture_probe requires a nonnegative matrix")
     equitable, b = _equitable_quotient(a, part)
-    return _probe_verdict([_eigvals(a)], [_eigvals(b, general=True)], [False], [equitable], tol)[1]
+    rho_m = np.abs(_eigvals(a)).max(keepdims=True)
+    rho_b = _eigvals(b, general=True).real.max(keepdims=True)
+    return _probe_verdict(rho_m, rho_b, [False], [equitable], tol)[1]
 
 
-def _probe_verdict(m_values, b_values, negative, equitable, tol: float) -> tuple[int, ProbeReport]:
-    """The ``conjecture_probe`` verdict on a run of trials, from each trial's
-    eigenvalues of M and of B, and whether M has a negative entry and its
-    partition is equitable, as ``stacked_spectra`` gives them.
+def _probe_verdict(rho_m, rho_b, negative, equitable, tol: float) -> tuple[int, ProbeReport]:
+    """The ``conjecture_probe`` verdict on a run of trials, from the four
+    vectors of ``stacked_spectra`` with ``tops``: rho_M, the largest modulus
+    of M's eigenvalues, rho_B, the largest real part of B's, and the flags.
 
-    A trial holds when rho_B, the largest real part of B's eigenvalues, and
-    rho_M, the largest modulus of M's, differ by at most ``tol``. Returns
-    the first trial that does not hold, or the last when all do, with its
-    report; raises what the probe raises if that trial is rejected.
+    A trial holds when its rho_B and rho_M differ by at most ``tol``.
+    Returns the first trial that does not hold, or the last when all do,
+    with its report; raises what the probe raises if that trial is rejected.
     """
-
-    def top(values, measure):
-        starts = np.cumsum([0] + [len(v) for v in values[:-1]])
-        return np.maximum.reduceat(measure(np.concatenate(values)), starts)
-
-    rho_b, rho_m = top(b_values, np.real), top(m_values, np.abs)
     holds = np.abs(rho_b - rho_m) <= tol
     failing = np.flatnonzero(np.logical_or(negative, np.logical_not(equitable)) | ~holds)
     j = int(failing[0]) if failing.size else len(holds) - 1

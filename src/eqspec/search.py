@@ -16,6 +16,7 @@ only to the optimizer sets, which are tiny.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -59,6 +60,7 @@ _WALK_WINDOW = 4096  # masks searched at a time for the next unseen orbit
 # matrix entries a probe campaign realizes and solves at a time (512 KiB of
 # floats); a larger matrix is solved alone
 _PROBE_WINDOW = 1 << 16
+_PROBE_SEGMENT = 1 << 19  # matrix entries (an eighth as many coefficients) drawn at a time
 
 OBJECTIVES = ("rho", "q", "rhoD", "qD")
 _OBJECTIVE_KINDS = {
@@ -564,25 +566,26 @@ def _random_trial(rng: random.Random, n_range, t_range, coeff_range):
 
 
 def _probe_chunks(trials: int, seed: int, n_range, t_range, coeff_range):
-    """The campaign's random trials in order, as ``(sizes, coefficients)``
-    pairs of plain ints (see ``_random_trial``), in lists whose realized
-    matrices hold at most ``_PROBE_WINDOW`` entries together; a trial whose
-    matrix alone holds more is a list of its own.
-
+    """The campaign's trials, as ``_random_trial`` draws them, in segments
+    (see ``quotient._as_trials``) of int16 block counts and sizes and int8
+    coefficients where ``coeff_range`` fits, of at most ``_PROBE_SEGMENT``
+    matrix entries and an eighth as many coefficients (or one larger trial).
     Trial i draws from its own substream ``random.Random(f"{seed}:{i}")``,
-    so the chunking moves no draw, and drawing one chunk past a failing
-    trial changes nothing before it.
-    """
-    chunk, entries = [], 0
+    so segmenting moves no draw, and drawing one segment past a failing
+    trial changes nothing before it."""
+    code = "b" if -128 <= coeff_range[0] and coeff_range[1] < 128 else "i"
+    segment, entries = (array("h"), array("h"), array(code)), 0
     for i in range(trials):
-        trial = _random_trial(random.Random(f"{seed}:{i}"), n_range, t_range, coeff_range)
-        n = sum(trial[0])
-        if chunk and entries + n * n > _PROBE_WINDOW:
-            yield chunk
-            chunk, entries = [], 0
-        chunk.append(trial)
+        sizes, coeffs = _random_trial(random.Random(f"{seed}:{i}"), n_range, t_range, coeff_range)
+        n = sum(sizes)
         entries += n * n
-    yield chunk
+        if segment[0] and max(entries, 8 * (len(segment[2]) + len(coeffs))) > _PROBE_SEGMENT:
+            yield tuple(np.asarray(part) for part in segment)
+            segment, entries = (array("h"), array("h"), array(code)), n * n
+        segment[0].append(len(sizes))
+        segment[1].extend(sizes)
+        segment[2].extend(coeffs)
+    yield tuple(np.asarray(part) for part in segment)
 
 
 def conjecture_search(
@@ -599,19 +602,17 @@ def conjecture_search(
     at the first failing instance and returns it fully; None expected.
     Each trial is ``conjecture_probe`` of one random ``BlockSpec`` whose
     coefficients are quarters in [0, 10], with the same checks, errors and
-    verdict. The trials are drawn as plain ints (numerators over 4, see
-    ``_probe_chunks``) in chunks of at most ``_PROBE_WINDOW`` matrix
-    entries (or one larger matrix); a chunk's matrices are realized straight
-    from those ints, checked and solved together, one eigensolver call per
-    group of equal order (and, for M, symmetry). The first failing trial is
-    the one reported, whatever else its chunk holds, and it is the only one
-    made a ``BlockSpec``.
+    verdict. The trials are drawn as ints (numerators over 4) in segments
+    (``_probe_chunks``), whose matrices of each order are realized, checked
+    and solved together (``stacked_spectra``). The first failing trial is
+    reported, whatever else its segment holds; only it becomes a BlockSpec.
     """
     _check_probe_parameters(trials, n_range, t_range)
     done = 0
-    for chunk in _probe_chunks(trials, seed, n_range, t_range, (0, 40)):
-        j, report = _probe_verdict(*stacked_spectra(chunk, 4, general=True), tol)
+    for segment in _probe_chunks(trials, seed, n_range, t_range, (0, 40)):
+        tops = stacked_spectra(segment, _PROBE_WINDOW, 4, general=True, tops=True)
+        j, report = _probe_verdict(*tops, tol)
         if not report.holds:
-            return ConjectureSearchResult(done + j + 1, seed, _as_spec(chunk[j], 4), report)
-        done += len(chunk)
+            return ConjectureSearchResult(done + j + 1, seed, _as_spec(segment, j, 4), report)
+        done += len(segment[0])
     return ConjectureSearchResult(trials, seed, None, None)

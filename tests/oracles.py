@@ -35,7 +35,7 @@ from eqspec.linalg import (
     largest_real_root,
     spectral_radius,
 )
-from eqspec.quotient import BlockSpec, ProbeReport, block_spectrum
+from eqspec.quotient import BlockSpec, ProbeReport, _lifted_spectrum
 from eqspec.search import ConjectureSearchResult
 
 
@@ -408,6 +408,15 @@ def probe_gaps(trials: int, seed: int, n_range=(2, 20), t_range=(1, 4)) -> list[
         report = probe_blockwise(spec)
         gaps.append(abs(report.rho_B - report.rho_M))
     return gaps
+
+
+def block_spectrum(spec: BlockSpec):
+    """Full spectrum of the realized matrix without building it: the
+    quotient's eigenvalues (the symmetric solver's for a symmetric one)
+    plus p_i repeated (n_i - 1) times."""
+    b = spec.quotient().to_numpy()
+    values = np.linalg.eigvalsh(b) if np.array_equal(b, b.T) else np.linalg.eigvals(b)
+    return _lifted_spectrum(spec.sizes, spec.p, values)
 
 
 def block_spectrum_max_deviation(trials: int, seed: int, t_max: int = 4, n_max: int = 20) -> float:

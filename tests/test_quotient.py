@@ -34,7 +34,7 @@ from eqspec.quotient import (
     _as_trials,
     _equitable_quotients,
     _realize_stacks,
-    block_spectrum,
+    _segment_trials,
     conjecture_probe,
     format_partition,
     interlacing_check,
@@ -47,6 +47,7 @@ from eqspec.quotient import (
 )
 
 from oracles import (
+    block_spectrum,
     is_equitable_blockwise,
     quotient_matrix_blockwise,
     quotient_matrix_by_rows,
@@ -415,11 +416,12 @@ def test_trials_round_trip_over_the_least_common_denominator():
         BlockSpec((2, 1), (Fraction(1, 2), 0), (1, Fraction(3, 4)), ((0, 1), (Fraction(5, 6), 0))),
         BlockSpec((3,), (2,), (Fraction(-1, 3),), ((7,),)),
     ]
-    trials, den = _as_trials(specs)
+    segment, den = _as_trials(specs)
     assert den == 12
+    trials = list(_segment_trials(segment))
     assert trials[1] == ([3], [24, -4, 84])
     assert all(type(x) is int for _, coeffs in trials for x in coeffs)
-    assert [_as_spec(trial, den) for trial in trials] == specs
+    assert [_as_spec(segment, j, den) for j in range(len(specs))] == specs
 
 
 def _random_specs(rng, count, n, coeff):
@@ -446,10 +448,12 @@ def test_realize_stack_matches_blockwise_realization():
     specs = _random_specs(
         rng, 40, 9, lambda: Fraction(rng.randint(-30, 30), rng.choice((1, 3, 4)))
     )
-    [(members, a, labels)] = _realize_stacks(*_as_trials(specs))
-    assert members.tolist() == list(range(40))
+    [(members, a, labels)] = _realize_stacks(*_as_trials(specs), 40 * 81)
+    # one stack, its matrices by block count
+    assert sorted(members.tolist()) == list(range(40))
+    assert [specs[i].t for i in members] == sorted(spec.t for spec in specs)
     assert a.shape == (40, 9, 9) and labels.shape == (40, 9)
-    for j, spec in enumerate(specs):
+    for j, spec in ((j, specs[i]) for j, i in enumerate(members)):
         assert a[j].tobytes() == realize_blockwise(spec).tobytes()
         cells = spec.partition().cells
         assert labels[j].tolist() == [i for i, cell in enumerate(cells) for _ in cell]
@@ -458,22 +462,28 @@ def test_realize_stack_matches_blockwise_realization():
 def test_equitable_quotients_match_per_matrix_checks():
     rng = random.Random(47)
     specs = _random_specs(rng, 30, 7, lambda: Fraction(rng.randint(0, 40), 4))
-    [(_, a, labels)] = _realize_stacks(*_as_trials(specs))
+    [(members, a, labels)] = _realize_stacks(*_as_trials(specs), 30 * 49)
+    specs = [specs[i] for i in members]
     # spoil every third matrix in its first row: not equitable when that
     # row's block has another row
     for j in range(0, 30, 3):
         a[j, 0, 0] += 0.25
     equitable, quotients = _equitable_quotients(a, labels)
     assert 0 < equitable.sum() < 30
+    width = max(spec.t for spec in specs)
+    assert quotients.shape == (30, width, width)
     for j, spec in enumerate(specs):
         part = spec.partition()
         expected = j % 3 != 0 or spec.sizes[0] == 1
         assert equitable[j] == is_equitable_blockwise(a[j], part) == expected
+        # B padded with zeros to the stack's most blocks
+        b, t = quotients[j], spec.t
+        assert not b[t:].any() and not b[:, t:].any()
         # entries in quarters: every partial sum is exact in any order
-        assert quotients[j].tobytes() == quotient_matrix_blockwise(a[j], part).tobytes()
+        assert b[:t, :t].tobytes() == quotient_matrix_blockwise(a[j], part).tobytes()
         if j % 3:
             # a BlockSpec is equitable by construction; B is its exact quotient
-            assert quotients[j].tobytes() == spec.quotient().to_numpy().tobytes()
+            assert b[:t, :t].tobytes() == spec.quotient().to_numpy().tobytes()
 
 
 @pytest.mark.parametrize("general", [False, True])
@@ -485,19 +495,24 @@ def test_stacked_spectra_match_one_solve_per_matrix(general):
     # symmetric specs share a group with the others of their order
     specs += [BlockSpec((2, 3), (1, 2), (0, 1), ((0, 4), (4, 0))) for _ in range(3)]
     rng.shuffle(specs)
-    trials, den = _as_trials(specs)
+    segment, den = _as_trials(specs)
     assert den == 1
-    m_values, b_values, negative, equitable = stacked_spectra(trials, general=general)
-    for spec, m_vals, b_vals, neg, eq in zip(specs, m_values, b_values, negative, equitable):
-        m = realize_blockwise(spec)
-        b = spec.quotient().to_numpy()
-        solo_m = np.linalg.eigvalsh(m) if np.array_equal(m, m.T) else np.linalg.eigvals(m)
-        if np.array_equal(b, b.T) and not general:
-            solo_b = np.linalg.eigvalsh(b)
-        else:
-            solo_b = np.linalg.eigvals(b)
-        assert np.array_equal(m_vals, solo_m) and np.array_equal(b_vals, solo_b)
-        assert neg == bool(np.any(m < 0)) and eq
+    # stacks of one matrix, of a few, and of a whole order
+    for window in (1, 200, 1 << 30):
+        m_values, b_values, negative, equitable = stacked_spectra(segment, window, general=general)
+        rho_m, rho_b, *flags = stacked_spectra(segment, window, general=general, tops=True)
+        assert [a.tolist() for a in flags] == [negative.tolist(), equitable.tolist()]
+        for j, spec in enumerate(specs):
+            m = realize_blockwise(spec)
+            b = spec.quotient().to_numpy()
+            solo_m = np.linalg.eigvalsh(m) if np.array_equal(m, m.T) else np.linalg.eigvals(m)
+            if np.array_equal(b, b.T) and not general:
+                solo_b = np.linalg.eigvalsh(b)
+            else:
+                solo_b = np.linalg.eigvals(b)
+            assert np.array_equal(m_values[j], solo_m) and np.array_equal(b_values[j], solo_b)
+            assert rho_m[j] == np.abs(solo_m).max() and rho_b[j] == solo_b.real.max()
+            assert negative[j] == bool(np.any(m < 0)) and equitable[j]
 
 
 # ---------------------------------------------------------------------------

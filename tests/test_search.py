@@ -6,6 +6,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from oracles import (
     conjecture_campaign,
@@ -20,7 +21,7 @@ from oracles import (
     vertex_connectivity_maxflow,
 )
 
-from eqspec import search
+from eqspec import quotient, search
 
 from eqspec.errors import BudgetExceeded, CompleteInput, NotStronglyConnected
 from eqspec.families import (
@@ -38,13 +39,13 @@ from eqspec.graphs import (
     vertex_connectivity,
 )
 from eqspec.linalg import spectral_radius
-from eqspec.quotient import BlockSpec, realize_block_matrix
+from eqspec.quotient import BlockSpec, _segment_trials, realize_block_matrix
 from eqspec.search import (
     OBJECTIVES,
     PROBE_ORDER_BUDGET,
     ScanJob,
-    _probe_chunks,
     _orbits,
+    _probe_chunks,
     conjecture_search,
     dominate_with_extremal,
     enumerate_class,
@@ -322,17 +323,17 @@ def test_conjecture_search_equals_per_trial_campaign(trials, seed):
     assert payload["trials"] == (7348 if seed == 5 else trials)
 
 
-def _chunk_orders(trials, seed):
-    """The matrix orders of every chunk a default-range campaign draws (a
+def _segment_orders(trials, seed):
+    """The matrix orders of every segment a default-range campaign draws (a
     trial draws its order before any coefficient)."""
-    chunks = _probe_chunks(trials, seed, (2, 20), (1, 4), (0, 40))
-    return [[sum(sizes) for sizes, _ in chunk] for chunk in chunks]
+    segments = _probe_chunks(trials, seed, (2, 20), (1, 4), (0, 40))
+    return [[sum(sizes) for sizes, _ in _segment_trials(segment)] for segment in segments]
 
 
-def _chunk_edges(trials, seed):
-    """(first, last) trial index of every chunk the campaign draws."""
+def _segment_edges(trials, seed):
+    """(first, last) trial index of every segment the campaign draws."""
     edges, start = [], 0
-    for orders in _chunk_orders(trials, seed):
+    for orders in _segment_orders(trials, seed):
         edges.append((start, start + len(orders) - 1))
         start += len(orders)
     return edges
@@ -351,7 +352,7 @@ def _records(gaps):
 
 
 _TRIALS = 300
-_WINDOW = 2000  # matrix entries: about a dozen trials a chunk
+_SEGMENT = 2000  # matrix entries: about a dozen trials a segment
 
 
 def test_conjecture_search_fails_at_trial_one_like_the_oracle():
@@ -362,9 +363,9 @@ def test_conjecture_search_fails_at_trial_one_like_the_oracle():
 
 
 def test_conjecture_search_fails_inside_a_later_chunk_like_the_oracle(monkeypatch):
-    monkeypatch.setattr(search, "_PROBE_WINDOW", _WINDOW)
+    monkeypatch.setattr(search, "_PROBE_SEGMENT", _SEGMENT)
     gaps = probe_gaps(_TRIALS, 7)
-    edges = _chunk_edges(_TRIALS, 7)
+    edges = _segment_edges(_TRIALS, 7)
     inside = [i for i in _records(gaps) if any(a < i < b for a, b in edges[1:])]
     tol = _tol_failing_at(gaps, inside[-1])
     payload = conjecture_search(_TRIALS, seed=7, tol=tol).to_json()
@@ -376,16 +377,49 @@ def test_conjecture_search_fails_inside_a_later_chunk_like_the_oracle(monkeypatc
 def test_conjecture_search_fails_on_a_chunk_edge_like_the_oracle(monkeypatch, edge):
     gaps = probe_gaps(_TRIALS, 7)
     index = [i for i in _records(gaps) if i > 20][0]
-    # size the window so that the failing trial opens or closes the first chunk
-    orders = [n for chunk in _chunk_orders(index + 1, 7) for n in chunk]
-    window = sum(n * n for n in orders[: index if edge == "first" else index + 1])
-    monkeypatch.setattr(search, "_PROBE_WINDOW", window)
-    first, last = _chunk_edges(_TRIALS, 7)[1 if edge == "first" else 0]
+    # size the segment so that the failing trial opens or closes the first
+    orders = [n for segment in _segment_orders(index + 1, 7) for n in segment]
+    bound = sum(n * n for n in orders[: index if edge == "first" else index + 1])
+    monkeypatch.setattr(search, "_PROBE_SEGMENT", bound)
+    first, last = _segment_edges(_TRIALS, 7)[1 if edge == "first" else 0]
     assert index == (first if edge == "first" else last)
     tol = _tol_failing_at(gaps, index)
     payload = conjecture_search(_TRIALS, seed=7, tol=tol).to_json()
     assert payload["trials"] == index + 1
     assert payload == conjecture_campaign(_TRIALS, 7, tol=tol)
+
+
+_GROUPINGS = [
+    ("_PROBE_WINDOW", 1),  # one matrix a stack
+    ("_PROBE_WINDOW", 1 << 30),  # one stack per order and segment
+    ("_PROBE_SEGMENT", 1),  # one trial a segment
+    ("_PROBE_SEGMENT", 1 << 30),  # the whole campaign one segment
+]
+
+
+def _probe_outputs():
+    """Seed 5's known failure at trial 7348, a clean seed-7 run, and
+    ``lem3.4.random``'s max_deviation bits at a passing and a failing seed."""
+    from eqspec.theorems import verify_claim
+
+    runs = ((10_000, 5), (3000, 7))
+    conjectures = [conjecture_search(trials, seed=seed).to_json() for trials, seed in runs]
+    deviations = [
+        verify_claim("lem3.4.random", {"trials": 1000, "seed": seed}).max_deviation.hex()
+        for seed in (0, 10)
+    ]
+    return conjectures, deviations
+
+
+@pytest.fixture(scope="module")
+def default_probe_outputs():
+    return _probe_outputs()
+
+
+@pytest.mark.parametrize("name, bound", _GROUPINGS)
+def test_probe_grouping_never_moves_a_bit(monkeypatch, default_probe_outputs, name, bound):
+    monkeypatch.setattr(search, name, bound)
+    assert _probe_outputs() == default_probe_outputs
 
 
 def _oracle_trial(rng, n_range, t_range, coeff_range):
@@ -412,27 +446,71 @@ def test_random_trial_draws_what_the_random_api_draws(n_range, t_range, coeff_ra
 
 
 @pytest.mark.parametrize("n_range, trials", [((2, 20), 3000), ((2, PROBE_ORDER_BUDGET), 8)])
-def test_probe_chunks_stay_within_the_entry_budget(n_range, trials):
-    chunks = list(_probe_chunks(trials, 3, n_range, (1, 4), (0, 40)))
-    assert len(chunks) > 1
-    for chunk in chunks:
-        # only a matrix larger than the window goes past it, alone
-        entries = sum(sum(sizes) ** 2 for sizes, _ in chunk)
-        assert entries <= search._PROBE_WINDOW or len(chunk) == 1
-    # chunking draws each trial from its own substream, in order
-    drawn = [trial for chunk in chunks for trial in chunk]
+def test_probe_chunks_stay_within_the_entry_budget(monkeypatch, n_range, trials):
+    # a bound that the entries and the coefficients of these trials both pass
+    monkeypatch.setattr(search, "_PROBE_SEGMENT", 1 << 16)
+    segments = list(_probe_chunks(trials, 3, n_range, (1, 4), (0, 40)))
+    assert len(segments) > 1
+    for blocks, sizes, coeffs in segments:
+        # only a trial past a bound goes past it, alone
+        orders = [sum(trial) for trial, _ in _segment_trials((blocks, sizes, coeffs))]
+        entries = sum(n * n for n in orders)
+        assert entries <= search._PROBE_SEGMENT or len(blocks) == 1
+        assert len(coeffs) <= search._PROBE_SEGMENT >> 3 or len(blocks) == 1
+    # segmenting draws each trial from its own substream, in order
+    drawn = [trial for segment in segments for trial in _segment_trials(segment)]
     assert drawn == [
         _oracle_trial(random.Random(f"3:{i}"), n_range, (1, 4), (0, 40)) for i in range(trials)
     ]
 
 
 def test_probe_chunks_hold_plain_ints_only():
-    chunk = next(_probe_chunks(3000, 3, (2, 20), (1, 4), (0, 40)))
-    assert len(chunk) > 100
-    for trial in chunk:
+    segment = next(_probe_chunks(3000, 3, (2, 20), (1, 4), (0, 40)))
+    blocks, sizes, coeffs = segment
+    assert len(blocks) > 100
+    # flat arrays of small ints, no Python object per trial
+    assert [part.dtype for part in segment] == [np.int16, np.int16, np.int8]
+    assert all(part.ndim == 1 for part in segment)
+    assert len(sizes) == blocks.sum() and len(coeffs) == (blocks * (blocks + 2)).sum()
+    for trial in _segment_trials(segment):
         assert type(trial) is tuple and len(trial) == 2
         for part in trial:
             assert type(part) is list and all(type(x) is int for x in part)
+
+
+@pytest.mark.parametrize("window, segment", [(None, None), (1 << 13, 1 << 16)])
+def test_probe_stacks_and_segments_stay_bounded_at_large_orders(monkeypatch, window, segment):
+    for name, bound in (("_PROBE_WINDOW", window), ("_PROBE_SEGMENT", segment)):
+        if bound is not None:
+            monkeypatch.setattr(search, name, bound)
+    stacks, segments = [], []
+    realize, draw = quotient._realize_stacks, search._probe_chunks
+
+    def spied_realize(*args):
+        for members, a, labels in realize(*args):
+            # segments are drawn lazily: the last one drawn is being realized
+            stacks.append((len(segments) - 1, members.tolist(), a.size))
+            yield members, a, labels
+
+    def spied_draw(*args):
+        for drawn in draw(*args):
+            segments.append(drawn)
+            yield drawn
+
+    monkeypatch.setattr(quotient, "_realize_stacks", spied_realize)
+    monkeypatch.setattr(search, "_probe_chunks", spied_draw)
+    n_range, t_range, trials = (2, 120), (1, 60), 16
+    payload = conjecture_search(trials, n_range, t_range, seed=2).to_json()
+    assert payload == conjecture_campaign(trials, 2, n_range, t_range)
+    assert len(segments) > 1 or segment is None
+    for _, members, entries in stacks:
+        assert entries <= search._PROBE_WINDOW or len(members) == 1
+    for blocks, _, coeffs in segments:
+        assert len(coeffs) <= search._PROBE_SEGMENT >> 3 or len(blocks) == 1
+    # every trial is realized once
+    starts = np.cumsum([0] + [len(blocks) for blocks, _, _ in segments])
+    realized = sorted(starts[i] + j for i, members, _ in stacks for j in members)
+    assert realized == list(range(trials))
 
 
 def _count_blockspecs(monkeypatch):
