@@ -65,7 +65,11 @@ def _emit(payload, pretty: bool) -> None:
 
 
 def _read_graph(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     obj = parse_graph_file(text)
     if obj.n > GRAPH_ORDER_BUDGET:
         raise BudgetExceeded(

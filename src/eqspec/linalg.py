@@ -562,11 +562,11 @@ def _eigvals_groups(stack: np.ndarray, general: bool = False):
             yield members, _eigvals(part, not sym)
 
 
-def eigvals_stack(stack: np.ndarray, general: bool = False) -> list[np.ndarray]:
+def eigvals_stack(stack: np.ndarray) -> list[np.ndarray]:
     """Each matrix's eigenvalues from ``_eigvals_groups``: a real value may be
     complex with a zero imaginary part, when its group has complex ones."""
     out: list[np.ndarray] = [None] * len(stack)
-    for members, values in _eigvals_groups(stack, general):
+    for members, values in _eigvals_groups(stack):
         for i, matrix_values in zip(members, values):
             out[i] = matrix_values
     return out

@@ -288,11 +288,24 @@ def cliquestar_charpoly(sizes, kind) -> Polynomial:
     return _blockspec_charpoly(adjacency_blockspec(CliqueStar(tuple(sizes)), kind))
 
 
+_ONE = Polynomial([1])
+
+
 def _prod(polys) -> Polynomial:
-    out = Polynomial([1])
+    out = _ONE
     for poly in polys:
         out = out * poly
     return out
+
+
+def _secular(shifts, weights, head=_ONE, weight=_ONE) -> Polynomial:
+    """The secular bracket of a quotient determinant:
+    head * prod_i (x - s_i) - weight * sum_i w_i * prod_{j!=i} (x - s_j)."""
+    factors = [Polynomial.linear(s) for s in shifts]
+    total = head * _prod(factors)
+    for i, wi in enumerate(weights):
+        total = total - weight * _prod(f for j, f in enumerate(factors) if j != i).scale(wi)
+    return total
 
 
 def multipartite_display_charpoly(parts, kind) -> Polynomial:
@@ -305,30 +318,21 @@ def multipartite_display_charpoly(parts, kind) -> Polynomial:
     x = Polynomial([0, 1])
     K = MatrixKind
 
-    def sum_form(shift_diag, prefactor):
-        # prefactor * [prod(x - shift_i) - sum_i n_i * prod_{j!=i}(x - shift_j)]
-        factors = [x - Polynomial([s]) for s in shift_diag]
-        bracket = _prod(factors)
-        for i, ni in enumerate(parts):
-            others = [f for j, f in enumerate(factors) if j != i]
-            bracket = bracket - _prod(others).scale(ni)
-        return prefactor * bracket
-
     if kind is K.ADJACENCY:
-        return sum_form([-ni for ni in parts], x ** (n - t))
+        return x ** (n - t) * _secular([-ni for ni in parts], parts)
     if kind is K.LAPLACIAN:
         pref = _prod(Polynomial.linear(n - ni) ** (ni - 1) for ni in parts)
         return x * Polynomial.linear(n) ** (t - 1) * pref
     if kind is K.SIGNLESS_LAPLACIAN:
         pref = _prod(Polynomial.linear(n - ni) ** (ni - 1) for ni in parts)
-        return sum_form([n - 2 * ni for ni in parts], pref)
+        return pref * _secular([n - 2 * ni for ni in parts], parts)
     if kind is K.DISTANCE:
-        return sum_form([ni - 2 for ni in parts], Polynomial.linear(-2) ** (n - t))
+        return Polynomial.linear(-2) ** (n - t) * _secular([ni - 2 for ni in parts], parts)
     if kind is K.DISTANCE_LAPLACIAN:
         pref = _prod(Polynomial.linear(n + ni) ** (ni - 1) for ni in parts)
         return x * Polynomial.linear(n) ** (t - 1) * pref
     pref = _prod(Polynomial.linear(n + ni - 4) ** (ni - 1) for ni in parts)
-    return sum_form([n + 2 * ni - 4 for ni in parts], pref)
+    return pref * _secular([n + 2 * ni - 4 for ni in parts], parts)
 
 
 def cliquestar_display_charpoly(sizes, kind) -> Polynomial:
@@ -343,36 +347,29 @@ def cliquestar_display_charpoly(sizes, kind) -> Polynomial:
     x = Polynomial([0, 1])
     K = MatrixKind
 
-    def bracket(head, diag_shifts, weight_poly):
-        factors = [x - Polynomial([s]) for s in diag_shifts]
-        total = head * _prod(factors)
-        for i, ni in enumerate(sizes):
-            others = [f for j, f in enumerate(factors) if j != i]
-            total = total - weight_poly * _prod(others).scale(ni - 1)
-        return total
-
-    one = Polynomial([1])
+    leaves = [ni - 1 for ni in sizes]
     if kind is K.ADJACENCY:
         pref = Polynomial.linear(-1) ** (n - k - 1)
-        return pref * bracket(x, [ni - 2 for ni in sizes], one)
+        return pref * _secular([ni - 2 for ni in sizes], leaves, x)
     if kind is K.LAPLACIAN:
         pref = _prod(Polynomial.linear(ni) ** (ni - 2) for ni in sizes)
         return x * Polynomial.linear(n) * Polynomial.linear(1) ** (k - 1) * pref
     if kind is K.SIGNLESS_LAPLACIAN:
         pref = _prod(Polynomial.linear(ni - 2) ** (ni - 2) for ni in sizes)
-        return pref * bracket(x - Polynomial([n - 1]), [2 * ni - 3 for ni in sizes], one)
+        return pref * _secular([2 * ni - 3 for ni in sizes], leaves, Polynomial.linear(n - 1))
     if kind is K.DISTANCE:
         pref = Polynomial.linear(-1) ** (n - k - 1)
-        return pref * bracket(x, [-ni for ni in sizes], Polynomial([1, 2]))
+        return pref * _secular([-ni for ni in sizes], leaves, x, Polynomial([1, 2]))
     if kind is K.DISTANCE_LAPLACIAN:
         pref = _prod(Polynomial.linear(2 * n - ni) ** (ni - 2) for ni in sizes)
         return (
             x * Polynomial.linear(n) * Polynomial.linear(2 * n - 1) ** (k - 1) * pref
         )
     pref = _prod(Polynomial.linear(2 * n - ni - 2) ** (ni - 2) for ni in sizes)
-    return pref * bracket(
-        x - Polynomial([n - 1]),
+    return pref * _secular(
         [2 * n - 2 * ni - 1 for ni in sizes],
+        leaves,
+        Polynomial.linear(n - 1),
         Polynomial([3 - 2 * n, 2]),
     )
 

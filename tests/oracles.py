@@ -11,7 +11,9 @@ cell-sum reduction (and a row-at-a-time reduction that pins its summation
 order), one labeled graph and one permutation at a time instead of
 isomorphism orbits and relabeling tables, one probe trial at a time
 instead of chunks solved by matrix shape, one family member at a time
-instead of a connectivity theorem's members solved as one stack.
+instead of a connectivity theorem's members solved as one stack, and the
+block families written out from their definitions, clique by clique and
+join by join, instead of from a table of joined cells.
 """
 
 from __future__ import annotations
@@ -20,13 +22,20 @@ import operator
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
 from eqspec import theorems
 from eqspec.errors import NotEquitable, NotNonnegative
-from eqspec.families import KnkpDigraph, KnkpGraph, adjacency_blockspec, build
+from eqspec.families import (
+    CliqueStar,
+    CompleteMultipartite,
+    KnkpDigraph,
+    KnkpGraph,
+    adjacency_blockspec,
+    build,
+)
 from eqspec.graphs import Digraph, Graph, MatrixKind, build_matrix
 from eqspec.linalg import (
     ExactMatrix,
@@ -267,6 +276,40 @@ def vertex_connectivity_maxflow(obj) -> int:
             if u != v and (u, v) not in items:
                 best = min(best, local(u, v))
     return best
+
+
+def _clique(vertices) -> set[tuple[int, int]]:
+    return {(u, v) for u in vertices for v in vertices if u < v}
+
+
+def family_by_definition(spec):
+    """A block family member written out from its definition, in the
+    canonical labeling: K_k joined to (K_p union K_q) on the vertices
+    p-cell, k-cut, q-cell, plus one-way arcs from the p-clique to the
+    q-clique for the digraph; the complete multipartite graph on
+    consecutive parts; cliques sharing the hub 0, on consecutive leaves."""
+    if isinstance(spec, (KnkpGraph, KnkpDigraph)):
+        p_clique = range(spec.p)
+        cut = range(spec.p, spec.p + spec.k)
+        q_clique = range(spec.p + spec.k, spec.n)
+        edges = _clique(p_clique) | _clique(cut) | _clique(q_clique)
+        edges |= {(min(u, v), max(u, v)) for u in cut for v in chain(p_clique, q_clique)}
+        if isinstance(spec, KnkpGraph):
+            return Graph(spec.n, edges)
+        one_way = {(u, v) for u in p_clique for v in q_clique}
+        return Digraph(spec.n, edges | {(v, u) for u, v in edges} | one_way)
+    if isinstance(spec, CompleteMultipartite):
+        part_of = [i for i, size in enumerate(spec.parts) for _ in range(size)]
+        n = len(part_of)
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n) if part_of[u] != part_of[v]}
+        return Graph(n, edges)
+    if isinstance(spec, CliqueStar):
+        edges, first = set(), 1
+        for size in spec.sizes:
+            edges |= _clique([0, *range(first, first + size - 1)])
+            first += size - 1
+        return Graph(first, edges)
+    raise TypeError(f"no definition for {spec!r}")
 
 
 def bisection_largest_root(poly: Polynomial, lo: Fraction, hi: Fraction, steps: int = 200) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -44,6 +45,14 @@ def test_analyze_petersen_summary(run, petersen_file):
     }
     assert payload["vertex_connectivity"] == 3
     assert payload["transmissions"] == [15] * 10
+
+
+def test_analyze_closes_its_input_file(petersen_file, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", petersen_file]) == 0
+    capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_family_emit_file_pipes_into_analyze(run):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from eqspec.errors import InvalidParameters, ParseError, UnsupportedFamily
@@ -22,6 +24,8 @@ from eqspec.families import (
 from eqspec.graphs import ALL_KINDS, Digraph, Graph, build_matrix, vertex_connectivity
 from eqspec.quotient import is_equitable, realize_block_matrix
 from eqspec.search import is_isomorphic
+
+from oracles import family_by_definition
 
 KIND_NAMES = tuple(k.value for k in ALL_KINDS)
 
@@ -111,6 +115,27 @@ def test_keystone_block_identity(spec, kind):
     )
 
 
+def _block_family_sweep():
+    for n in range(3, 13):
+        for k in range(1, n - 1):
+            for p in range(1, n - k):
+                yield KnkpGraph(n, k, p)
+                yield KnkpDigraph(n, k, p)
+    for t in (2, 3, 4):
+        yield from map(CompleteMultipartite, product(range(1, 4), repeat=t))
+    for t in (1, 2, 3, 4):
+        yield from map(CliqueStar, product(range(2, 5), repeat=t))
+
+
+def test_build_matches_the_definitions():
+    # the keystone identity compares two readings of one cell table; this
+    # checks the table itself against the families' definitions
+    specs = list(_block_family_sweep())
+    assert len(specs) == 677
+    for spec in specs:
+        assert build(spec) == family_by_definition(spec), spec
+
+
 def test_natural_partition_is_equitable_for_all_kinds():
     for spec in (
         CompleteMultipartite((2, 3, 1)),
@@ -153,6 +178,15 @@ def test_blockspec_coefficients_match_itemized_tables():
     spec = adjacency_blockspec(fam, "DQ")
     assert spec.p == (5, 5, 7)  # (n-2, n-2, n+p-2)
     assert spec.s[2][0] == 2 and spec.s[0][2] == 1
+
+    # the clique star's hub keeps its whole diagonal in l
+    star = CliqueStar((3, 4, 5))
+    spec = adjacency_blockspec(star, "L")
+    assert (spec.l[0], spec.p[0]) == (star.n - 1, 0)
+
+    # any other size-1 cell keeps it in p, like the larger cells
+    spec = adjacency_blockspec(KnkpGraph(6, 2, 1), "A")
+    assert (spec.sizes[0], spec.l[0], spec.p[0]) == (1, 1, -1)
 
 
 # ---------------------------------------------------------------------------
