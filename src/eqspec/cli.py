@@ -5,8 +5,9 @@ success paths print JSON on stdout (the one exception is ``family
 --emit-file``, which prints the raw graph file so it can be piped back into
 ``analyze -``). Exit codes: 0 success / claim passed / no counterexample,
 1 verification failure or counterexample found, 2 usage or input errors.
-``analyze`` and ``quotient`` take (di)graphs of at most
-``GRAPH_ORDER_BUDGET`` vertices and raise BudgetExceeded (exit 2) above it.
+``analyze``, ``quotient`` and ``family`` take (di)graphs of at most
+``GRAPH_ORDER_BUDGET`` vertices and raise BudgetExceeded (exit 2) above it,
+before any n x n array exists.
 """
 
 from __future__ import annotations
@@ -21,18 +22,12 @@ import numpy as np
 from . import graphs, linalg, quotient, search, theorems
 from .errors import BudgetExceeded, EqspecError
 from .families import adjacency_blockspec, build, format_family, parse_family
-from .graphs import (
-    ALL_KINDS,
-    Digraph,
-    MatrixKind,
-    build_matrix,
-    format_graph_file,
-    parse_graph_file,
-)
+from .graphs import ALL_KINDS, MatrixKind, build_matrix, format_graph_file
 
 _SIGNIFICANT_DIGITS = 12
-# largest (di)graph analyze and quotient take; at this order the vertex-cut
-# search of analyze spends its whole cut budget in about 25 s (2-core VM)
+# largest (di)graph analyze, quotient and family take; at this order the
+# vertex-cut search of analyze spends its whole cut budget in about 25 s
+# (2-core VM)
 GRAPH_ORDER_BUDGET = 64
 
 _RADIUS_NAMES = {
@@ -64,18 +59,20 @@ def _emit(payload, pretty: bool) -> None:
         print(json.dumps(payload, separators=(",", ":")))
 
 
+def _check_order(n: int, commands: str) -> None:
+    if n > GRAPH_ORDER_BUDGET:
+        raise BudgetExceeded(f"{commands} take at most {GRAPH_ORDER_BUDGET} vertices, got {n}")
+
+
 def _read_graph(path: str):
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    obj = parse_graph_file(text)
-    if obj.n > GRAPH_ORDER_BUDGET:
-        raise BudgetExceeded(
-            f"analyze and quotient take at most {GRAPH_ORDER_BUDGET} vertices, got {obj.n}"
-        )
-    return obj
+    cls, n, items = graphs._parse_graph_text(text)
+    _check_order(n, "analyze and quotient")
+    return cls(n, items)
 
 
 def _parse_kinds(spec: str | None):
@@ -110,8 +107,8 @@ def _parse_params(spec: str | None) -> dict:
 def _cmd_analyze(args) -> int:
     obj = _read_graph(args.file)
     kinds = _parse_kinds(args.kinds)
-    adj = graphs.adjacency_stack([obj])
-    dist = graphs._connected_distances(adj, isinstance(obj, Digraph))
+    adj = obj.adjacency[None]
+    dist = graphs._connected_distances(adj, obj.directed)
     matrices, summary = {}, {}
     for kind in kinds:
         base = dist if graphs._KIND_FORMS[kind][0] else adj
@@ -123,7 +120,7 @@ def _cmd_analyze(args) -> int:
         }
     payload = {
         "n": obj.n,
-        "directed": isinstance(obj, Digraph),
+        "directed": obj.directed,
         "vertex_connectivity": int(graphs.vertex_connectivities(adj, np.ones(1, dtype=bool))[0]),
         "transmissions": dist[0].sum(axis=1).tolist(),
         "summary": summary,
@@ -157,6 +154,7 @@ def _cmd_quotient(args) -> int:
 
 def _cmd_family(args) -> int:
     spec = parse_family(args.familyspec)
+    _check_order(spec.n, "family members")
     obj = build(spec)
     if args.emit_file:
         sys.stdout.write(format_graph_file(obj))
@@ -171,7 +169,7 @@ def _cmd_family(args) -> int:
     payload = {
         "family": format_family(spec),
         "n": obj.n,
-        "directed": isinstance(obj, Digraph),
+        "directed": obj.directed,
         "graph_file": format_graph_file(obj),
         "blockspecs": blockspecs,
     }

@@ -11,10 +11,11 @@ q-clique last; the clique star puts the shared hub at vertex 0.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from itertools import accumulate
+
+import numpy as np
 
 from .errors import InvalidParameters, ParseError, UnsupportedFamily
-from .graphs import _KIND_FORMS, Digraph, Graph, MatrixKind
+from .graphs import _KIND_FORMS, Graph, MatrixKind, _from_adjacency
 from .quotient import BlockSpec, Partition
 
 
@@ -38,7 +39,7 @@ class BidirectedComplete:
 
 @dataclass(frozen=True)
 class Petersen:
-    pass
+    n = 10  # a class attribute, not a field
 
 
 @dataclass(frozen=True)
@@ -153,27 +154,17 @@ def _cells(spec: FamilySpec, error: str):
 def build(spec: FamilySpec):
     """Construct the labeled family member with its canonical vertex order."""
     if isinstance(spec, DirectedCycle):
-        return Digraph(spec.n, [(i, (i + 1) % spec.n) for i in range(spec.n)])
+        return _from_adjacency(np.roll(np.eye(spec.n, dtype=np.uint8), 1, axis=1), True)
     if isinstance(spec, BidirectedComplete):
-        return Digraph(
-            spec.n,
-            [(i, j) for i in range(spec.n) for j in range(spec.n) if i != j],
-        )
+        return _from_adjacency(1 - np.eye(spec.n, dtype=np.uint8), True)
     if isinstance(spec, Petersen):
         return Graph(10, _PETERSEN_EDGES)
     sizes, directed, joined = _cells(spec, "unknown family spec {spec!r}")
-    starts = tuple(accumulate(sizes, initial=0))
-    ranges = [range(a, b) for a, b in zip(starts, starts[1:])]
-    arcs = [
-        (u, v)
-        for i, cell_u in enumerate(ranges)
-        for j, cell_v in enumerate(ranges)
-        if joined(i, j)
-        for u in cell_u
-        for v in cell_v
-        if u != v and (directed or u < v)
-    ]
-    return (Digraph if directed else Graph)(starts[-1], arcs)
+    t = range(len(sizes))
+    table = np.array([[joined(i, j) for j in t] for i in t], dtype=np.uint8)
+    adj = np.repeat(np.repeat(table, sizes, axis=0), sizes, axis=1)
+    np.fill_diagonal(adj, 0)
+    return _from_adjacency(adj, directed)
 
 
 def natural_partition(spec: FamilySpec) -> Partition:

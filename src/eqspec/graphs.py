@@ -1,6 +1,8 @@
 """Graph and digraph types, connectivity analysis, and matrix construction.
 
-Vertices are 0-indexed everywhere. Every question about a (di)graph's
+Vertices are 0-indexed everywhere. A Graph or Digraph is stored as its
+dense, read-only n x n 0/1 adjacency matrix of uint8 (n**2 bytes), the
+A(G) every other matrix derives from. Every question about a (di)graph's
 structure is answered on a (b, n, n) adjacency stack, by one of two
 kernels that batch over the stack: ``distances`` (shortest path lengths
 and reachability, hence connectivity and strong connectivity) and
@@ -53,97 +55,93 @@ class MatrixKind(enum.Enum):
 ALL_KINDS = tuple(MatrixKind)
 
 
-class Graph:
+class _AdjacencyGraph:
+    """A simple (di)graph on n labeled vertices (no loops, no multi-arcs),
+    stored as its read-only n x n uint8 0/1 adjacency matrix, symmetric for
+    a graph. Two are equal when they are of one type and have one matrix."""
+
+    __slots__ = ("adjacency",)
+    directed: bool
+
+    def __init__(self, n: int, pairs=()):
+        noun = "arc" if self.directed else "edge"
+        if n < 1:
+            raise InvalidParameters(f"{type(self).__name__.lower()} needs at least one vertex")
+        checked = []
+        for u, v in pairs:
+            if u == v:
+                raise InvalidParameters(f"loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidParameters(f"{noun} ({u}, {v}) out of range for n={n}")
+            checked.append((u, v))
+        adj = np.zeros((n, n), dtype=np.uint8)
+        if checked:
+            u, v = np.array(checked).T
+            adj[u, v] = 1
+            if not self.directed:
+                adj[v, u] = 1
+        adj.flags.writeable = False
+        self.adjacency = adj
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
+
+    def _pairs(self) -> list[tuple[int, int]]:
+        """The arcs (u, v), or the edges with u < v, in row-major order."""
+        u, v = np.nonzero(self.adjacency if self.directed else np.triu(self.adjacency))
+        return list(zip(u.tolist(), v.tolist()))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and np.array_equal(self.adjacency, other.adjacency)
+
+    def __hash__(self):
+        return hash(self.adjacency.tobytes())
+
+    def __repr__(self):
+        noun = "arcs" if self.directed else "edges"
+        return f"{type(self).__name__}(n={self.n}, {noun}={self._pairs()})"
+
+    def is_complete(self) -> bool:
+        return int(self.adjacency.sum()) == self.n * (self.n - 1)
+
+
+class Graph(_AdjacencyGraph):
     """Simple undirected graph on n labeled vertices (no loops, no multi-edges)."""
 
-    __slots__ = ("n", "edges")
+    __slots__ = ()
+    directed = False
 
-    def __init__(self, n: int, edges=()):
-        if n < 1:
-            raise InvalidParameters("graph needs at least one vertex")
-        normalized = set()
-        for u, v in edges:
-            if u == v:
-                raise InvalidParameters(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidParameters(f"edge ({u}, {v}) out of range for n={n}")
-            normalized.add((min(u, v), max(u, v)))
-        self.n = n
-        self.edges = frozenset(normalized)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
-    def __repr__(self):
-        return f"Graph(n={self.n}, edges={sorted(self.edges)})"
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self._pairs())
 
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
-
-    def is_complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
+        return tuple(self.adjacency.sum(axis=1).tolist())
 
 
-class Digraph:
+class Digraph(_AdjacencyGraph):
     """Simple digraph on n labeled vertices (no loops, no multi-arcs)."""
 
-    __slots__ = ("n", "arcs")
+    __slots__ = ()
+    directed = True
 
-    def __init__(self, n: int, arcs=()):
-        if n < 1:
-            raise InvalidParameters("digraph needs at least one vertex")
-        normalized = set()
-        for u, v in arcs:
-            if u == v:
-                raise InvalidParameters(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidParameters(f"arc ({u}, {v}) out of range for n={n}")
-            normalized.add((u, v))
-        self.n = n
-        self.arcs = frozenset(normalized)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Digraph) and self.n == other.n and self.arcs == other.arcs
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.arcs))
-
-    def __repr__(self):
-        return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self._pairs())
 
     def out_sets(self) -> list[set[int]]:
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.arcs:
-            adj[u].add(v)
-        return adj
-
-    def is_complete(self) -> bool:
-        return len(self.arcs) == self.n * (self.n - 1)
+        return [set(np.flatnonzero(row).tolist()) for row in self.adjacency]
 
 
-def adjacency_stack(objs) -> np.ndarray:
-    """The (b, n, n) 0/1 adjacency matrices of (di)graphs sharing an order n."""
-    adj = np.zeros((len(objs), objs[0].n, objs[0].n), dtype=np.uint8)
-    for i, obj in enumerate(objs):
-        undirected = isinstance(obj, Graph)
-        items = obj.edges if undirected else obj.arcs
-        if items:
-            u, v = np.array(list(items)).T
-            adj[i, u, v] = 1
-            if undirected:
-                adj[i, v, u] = 1
-    return adj
+def _from_adjacency(adj: np.ndarray, directed: bool):
+    """The Digraph or Graph whose adjacency matrix is ``adj``: a fresh
+    uint8 0/1 matrix with a zero diagonal, symmetric for a graph, kept
+    read-only without a copy."""
+    obj = object.__new__(Digraph if directed else Graph)
+    adj.flags.writeable = False
+    obj.adjacency = adj
+    return obj
 
 
 def distances(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +178,7 @@ def distances(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def is_connected(obj) -> bool:
     """Whether every vertex reaches every vertex: connectivity of a graph,
     strong connectivity of a digraph."""
-    return bool(distances(adjacency_stack([obj]))[1].all())
+    return bool(distances(obj.adjacency[None])[1].all())
 
 
 is_strongly_connected = is_connected
@@ -235,9 +233,9 @@ def build_matrices(objs, kind) -> np.ndarray:
     DisconnectedInput when some member's distances are undefined.
     """
     kind = MatrixKind.coerce(kind)
-    adj = adjacency_stack(objs)
+    adj = np.stack([obj.adjacency for obj in objs])
     if _KIND_FORMS[kind][0]:
-        return matrix_stack(_connected_distances(adj, isinstance(objs[0], Digraph)), kind)
+        return matrix_stack(_connected_distances(adj, objs[0].directed), kind)
     return matrix_stack(adj, kind)
 
 
@@ -334,8 +332,8 @@ def vertex_connectivity(obj) -> int:
     the input unbroken, so every input on 18 or fewer vertices is answered.
     Complete inputs have no cut and return n - 1 by convention.
     """
-    adj = adjacency_stack([obj])
-    _connected_distances(adj, isinstance(obj, Digraph))
+    adj = obj.adjacency[None]
+    _connected_distances(adj, obj.directed)
     return int(vertex_connectivities(adj, np.ones(1, dtype=bool))[0])
 
 
@@ -346,22 +344,12 @@ def join(a, b):
     pass independently built pieces. The digraph join adds both arc
     directions between the parts.
     """
-    if isinstance(a, Graph) != isinstance(b, Graph):
+    if type(a) is not type(b):
         raise TypeError("join requires two graphs or two digraphs")
-    off = a.n
-    n = a.n + b.n
-    if isinstance(a, Graph):
-        edges = set(a.edges)
-        edges.update((u + off, v + off) for u, v in b.edges)
-        edges.update((u, v + off) for u in range(a.n) for v in range(b.n))
-        return Graph(n, edges)
-    arcs = set(a.arcs)
-    arcs.update((u + off, v + off) for u, v in b.arcs)
-    for u in range(a.n):
-        for v in range(b.n):
-            arcs.add((u, v + off))
-            arcs.add((v + off, u))
-    return Digraph(n, arcs)
+    adj = np.ones((a.n + b.n, a.n + b.n), dtype=np.uint8)
+    adj[: a.n, : a.n] = a.adjacency
+    adj[a.n :, a.n :] = b.adjacency
+    return _from_adjacency(adj, a.directed)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +363,13 @@ def parse_graph_file(text: str):
     per line, 0-indexed. ``#`` starts a comment. Loops and duplicates are
     rejected with the offending line number.
     """
+    cls, n, items = _parse_graph_text(text)
+    return cls(n, items)
+
+
+def _parse_graph_text(text: str):
+    """``parse_graph_file`` before the (di)graph is built: its type, order
+    and pairs, so that a caller can bound the order first."""
     header = None
     directed = None
     n = 0
@@ -416,14 +411,10 @@ def parse_graph_file(text: str):
         items.append((u, v))
     if header is None:
         raise ParseError("empty input: missing 'graph <n>' / 'digraph <n>' header")
-    return Digraph(n, items) if directed else Graph(n, items)
+    return (Digraph if directed else Graph), n, items
 
 
 def format_graph_file(obj) -> str:
-    if isinstance(obj, Graph):
-        lines = [f"graph {obj.n}"]
-        lines.extend(f"{u} {v}" for u, v in sorted(obj.edges))
-    else:
-        lines = [f"digraph {obj.n}"]
-        lines.extend(f"{u} {v}" for u, v in sorted(obj.arcs))
+    lines = [f"{'digraph' if obj.directed else 'graph'} {obj.n}"]
+    lines.extend(f"{u} {v}" for u, v in obj._pairs())
     return "\n".join(lines) + "\n"

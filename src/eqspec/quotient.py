@@ -261,7 +261,7 @@ class BlockSpec:
         ``l_i + p_i`` is taken exactly before the conversion, so the array
         equals ``realize_block_matrix(self).to_numpy()`` bit for bit.
         """
-        [(_, a, _)] = _realize_stacks(*_as_trials([self]), 1)
+        [(_, a, _)] = _realize_stacks(*_as_trials([self]))
         return a[0]
 
     def to_json(self) -> dict:
@@ -318,11 +318,14 @@ def _as_spec(segment, j: int, den: int) -> BlockSpec:
 
 
 _EXACT = 1 << 52  # ints below this in size, and sums of two, are exact floats
+# matrix entries a stack of probe trials holds (512 KiB of floats); a larger
+# matrix is a stack of its own
+_PROBE_WINDOW = 1 << 16
 
 
-def _realize_stacks(segment, den: int, window: int):
+def _realize_stacks(segment, den: int):
     """Realize a segment's trials as floats, one matrix order n at a time,
-    in stacks of at most ``window`` entries (a larger matrix alone), each
+    in stacks of at most ``_PROBE_WINDOW`` entries (a larger matrix alone), each
     by block count: yields its trial indices, (k, n, n) matrices and (k, n)
     row block indices. Each entry is one correctly rounded division by
     ``den`` of its exact numerator (l_i + p_i on the diagonal), gathered
@@ -337,7 +340,7 @@ def _realize_stacks(segment, den: int, window: int):
     by_order = np.lexsort((blocks, orders))
     for same in np.split(by_order, np.flatnonzero(np.diff(orders[by_order])) + 1):
         n = int(orders[same[0]])
-        step = max(1, window // (n * n))
+        step = max(1, _PROBE_WINDOW // (n * n))
         for members in (same[at : at + step] for at in range(0, len(same), step)):
             t = blocks[members, None]
             block = np.arange(int(t.max()))
@@ -359,12 +362,12 @@ def _realize_stacks(segment, den: int, window: int):
             del a  # with the caller's reference, before the next is gathered
 
 
-def stacked_spectra(segment, window: int, den: int = 1, general: bool = False, tops: bool = False):
-    """Eigenvalues of a segment's matrices M and quotients B (the general
-    solver's when ``general`` is set), coefficients over ``den``, and two
-    flags: M has a negative entry; its natural partition is equitable by
-    the ``is_equitable`` rule. With ``tops``, each trial's largest modulus
-    of M's values and largest real part of B's instead, all in trial order.
+def stacked_spectra(segment, den: int = 1, tops: bool = False):
+    """Eigenvalues of a segment's matrices M and quotients B, coefficients
+    over ``den``, and two flags: M has a negative entry; its natural
+    partition is equitable by the ``is_equitable`` rule. With ``tops``, each
+    trial's largest modulus of M's values and largest real part of B's (from
+    the general solver) instead, all in trial order.
     Each stack of ``_realize_stacks`` takes one ``_equitable_quotients``
     call and one solver call per symmetry, its Bs one per block count."""
     blocks, count = segment[0], len(segment[0])
@@ -375,7 +378,7 @@ def stacked_spectra(segment, window: int, den: int = 1, general: bool = False, t
         for j, kept in zip(members.tolist(), measure(values).max(axis=1) if tops else values):
             out[j] = kept
 
-    for members, a, labels in _realize_stacks(segment, den, window):
+    for members, a, labels in _realize_stacks(segment, den):
         negative[members] = (a < 0).any(axis=(1, 2))
         equitable[members], quotients = _equitable_quotients(a, labels)
         for group, values in _eigvals_groups(a):
@@ -385,7 +388,7 @@ def stacked_spectra(segment, window: int, den: int = 1, general: bool = False, t
         counts, starts = np.unique(blocks[members], return_index=True)
         ends = [*starts[1:].tolist(), len(members)]
         for t, lo, hi in zip(counts.tolist(), starts.tolist(), ends):
-            for group, values in _eigvals_groups(quotients[lo:hi, :t, :t], general):
+            for group, values in _eigvals_groups(quotients[lo:hi, :t, :t], tops):
                 keep(b_out, members[lo + group], values, np.real)
     return m_out, b_out, negative, equitable
 

@@ -41,10 +41,9 @@ from .families import (
 )
 from .graphs import (
     Digraph,
-    Graph,
     MatrixKind,
     _cut_reach,
-    adjacency_stack,
+    _from_adjacency,
     distances,
     is_strongly_connected,
     matrix_stack,
@@ -56,10 +55,7 @@ from .quotient import BlockSpec, ProbeReport, _as_spec, _probe_verdict, stacked_
 UNDIRECTED_VERTEX_BUDGET = 7  # 2**21 labeled graphs
 DIRECTED_VERTEX_BUDGET = 5  # 2**20 labeled digraphs
 PROBE_ORDER_BUDGET = 500  # largest random probe matrix: 500 x 500 floats
-_WALK_WINDOW = 4096  # masks searched at a time for the next unseen orbit
-# matrix entries a probe campaign realizes and solves at a time (512 KiB of
-# floats); a larger matrix is solved alone
-_PROBE_WINDOW = 1 << 16
+_WALK_WINDOW = 4096  # masks searched for the next unseen orbit, or made (di)graphs, at a time
 _PROBE_SEGMENT = 1 << 19  # matrix entries (an eighth as many coefficients) drawn at a time
 
 OBJECTIVES = ("rho", "q", "rhoD", "qD")
@@ -84,19 +80,13 @@ def pair_table(n: int, directed: bool) -> tuple[tuple[int, int], ...]:
 
 
 def graph_from_mask(n: int, mask: int, directed: bool):
-    pairs = pair_table(n, directed)
-    chosen = [pairs[b] for b in range(len(pairs)) if (mask >> b) & 1]
-    return Digraph(n, chosen) if directed else Graph(n, chosen)
+    adj = _adjacency_batch(np.array([mask]), n, pair_table(n, directed), directed)
+    return _from_adjacency(adj[0], directed)
 
 
 def mask_from_graph(obj) -> int:
-    directed = isinstance(obj, Digraph)
-    pairs = pair_table(obj.n, directed)
-    index = {pair: b for b, pair in enumerate(pairs)}
-    mask = 0
-    for item in obj.arcs if directed else obj.edges:
-        mask |= 1 << index[item]
-    return mask
+    i, j = np.array(pair_table(obj.n, obj.directed), dtype=np.intp).reshape(-1, 2).T
+    return sum(1 << bit for bit in np.flatnonzero(obj.adjacency[i, j]).tolist())
 
 
 def _check_budget(n: int, directed: bool) -> None:
@@ -406,11 +396,14 @@ def enumerate_class(n: int, directed: bool, kappa: int):
     if not 1 <= kappa <= n - 1:
         raise InvalidParameters(f"need 1 <= kappa <= n-1, got kappa={kappa}")
     reps, _ = _orbits(n, directed)
-    adj = _adjacency_batch(reps, n, pair_table(n, directed), directed)
+    pairs = pair_table(n, directed)
+    adj = _adjacency_batch(reps, n, pairs, directed)
     connected = distances(adj)[1].all(axis=(1, 2))
     in_class = vertex_connectivities(adj, connected) == kappa
-    for mask in _expand(n, directed, reps[in_class]):
-        yield graph_from_mask(n, int(mask), directed)
+    masks = _expand(n, directed, reps[in_class])
+    for lo in range(0, masks.size, _WALK_WINDOW):
+        for one in _adjacency_batch(masks[lo : lo + _WALK_WINDOW], n, pairs, directed):
+            yield _from_adjacency(one, directed)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +419,7 @@ def is_isomorphic(a, b) -> bool:
 
 def labeled_isomorph_masks(obj) -> frozenset:
     """Adjacency bitmasks of every relabeling of the given (di)graph (n <= 7)."""
-    directed = isinstance(obj, Digraph)
-    return frozenset(_expand(obj.n, directed, mask_from_graph(obj)).tolist())
+    return frozenset(_expand(obj.n, obj.directed, mask_from_graph(obj)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +457,7 @@ def dominate_with_extremal(dg: Digraph) -> DominationEmbedding:
         raise CompleteInput("complete digraph has no vertex cut of size at most n-2")
     # the first cut of k vertices, in lexicographic order, that breaks strong
     # connectivity, with R, the reachability of dg minus that cut
-    for keep, reach in _cut_reach(adjacency_stack([dg]), k):
+    for keep, reach in _cut_reach(dg.adjacency[None], k):
         broken = np.flatnonzero(~reach[0].all(axis=(1, 2)))
         if broken.size:
             keep, reach = keep[broken[0]], reach[0, broken[0]]
@@ -485,8 +477,9 @@ def dominate_with_extremal(dg: Digraph) -> DominationEmbedding:
     for pos, v in enumerate(order):
         witness[v] = pos
     host = build(KnkpDigraph(n, k, p))
-    relabeled = {(witness[u], witness[v]) for u, v in dg.arcs}
-    if not relabeled <= host.arcs:  # pragma: no cover - ordering theorem
+    # relabeled, the input's vertex order[pos] is pos: every arc must be the host's
+    relabeled = dg.adjacency[np.ix_(order, order)]
+    if (relabeled > host.adjacency).any():  # pragma: no cover - ordering theorem
         raise AssertionError("embedding failed: input is not spanned by the host")
     return DominationEmbedding(p=p, host=host, witness=tuple(witness))
 
@@ -610,7 +603,7 @@ def conjecture_search(
     _check_probe_parameters(trials, n_range, t_range)
     done = 0
     for segment in _probe_chunks(trials, seed, n_range, t_range, (0, 40)):
-        tops = stacked_spectra(segment, _PROBE_WINDOW, 4, general=True, tops=True)
+        tops = stacked_spectra(segment, 4, tops=True)
         j, report = _probe_verdict(*tops, tol)
         if not report.holds:
             return ConjectureSearchResult(done + j + 1, seed, _as_spec(segment, j, 4), report)

@@ -29,8 +29,10 @@ import numpy as np
 from eqspec import theorems
 from eqspec.errors import NotEquitable, NotNonnegative
 from eqspec.families import (
+    BidirectedComplete,
     CliqueStar,
     CompleteMultipartite,
+    DirectedCycle,
     KnkpDigraph,
     KnkpGraph,
     adjacency_blockspec,
@@ -283,11 +285,16 @@ def _clique(vertices) -> set[tuple[int, int]]:
 
 
 def family_by_definition(spec):
-    """A block family member written out from its definition, in the
+    """A family member written out from its definition, arc by arc, in the
     canonical labeling: K_k joined to (K_p union K_q) on the vertices
     p-cell, k-cut, q-cell, plus one-way arcs from the p-clique to the
     q-clique for the digraph; the complete multipartite graph on
-    consecutive parts; cliques sharing the hub 0, on consecutive leaves."""
+    consecutive parts; cliques sharing the hub 0, on consecutive leaves;
+    the directed cycle 0 -> 1 -> ... -> n-1 -> 0; every arc u -> v, u != v."""
+    if isinstance(spec, DirectedCycle):
+        return Digraph(spec.n, {(u, (u + 1) % spec.n) for u in range(spec.n)})
+    if isinstance(spec, BidirectedComplete):
+        return Digraph(spec.n, {(u, v) for u in range(spec.n) for v in range(spec.n) if u != v})
     if isinstance(spec, (KnkpGraph, KnkpDigraph)):
         p_clique = range(spec.p)
         cut = range(spec.p, spec.p + spec.k)

@@ -183,6 +183,39 @@ def test_analyze_and_quotient_order_budget(run, tmp_path):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, stdin, n",
+    [
+        (["analyze", "-"], "graph 1000000000\n", 1000000000),
+        (["quotient", "-", "--partition", "{0|1}"], "digraph 65\n0 1\n", 65),
+        (["family", "cycle:1000000000"], None, 1000000000),
+        (["family", "bicomplete:65"], None, 65),
+        (["family", "multipartite:40,40", "--emit-file"], None, 80),
+        (["family", "cliquestar:33,34"], None, 66),
+        (["family", "knkp-g:65,1,1"], None, 65),
+        (["family", "knkp-d:70,2,3"], None, 70),
+    ],
+)
+def test_order_budget_is_checked_before_any_matrix_exists(run, monkeypatch, argv, stdin, n):
+    def refuse(*args):
+        raise AssertionError("a (di)graph was built past the order budget")
+
+    monkeypatch.setattr("eqspec.graphs._AdjacencyGraph.__init__", refuse)
+    monkeypatch.setattr("eqspec.cli.build", refuse)
+    code, out, err = run(argv, stdin)
+    commands = "family members" if argv[0] == "family" else "analyze and quotient"
+    assert code == 2
+    assert out == ""
+    assert f"{commands} take at most 64 vertices, got {n}" in err
+    assert "Traceback" not in err
+
+
+def test_family_at_the_order_budget_builds(run):
+    code, out, _ = run(["family", "multipartite:32,32", "--emit-file"])
+    assert code == 0
+    assert out.startswith("graph 64\n") and out.count("\n") == 1 + 32 * 32
+
+
 def test_parse_error_names_line(run, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("graph 3\n0 1\n0 1\n")

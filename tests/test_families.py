@@ -136,6 +136,13 @@ def test_build_matches_the_definitions():
         assert build(spec) == family_by_definition(spec), spec
 
 
+def test_build_matches_the_definitions_of_the_digraph_families():
+    for n in range(1, 13):
+        assert build(BidirectedComplete(n)) == family_by_definition(BidirectedComplete(n))
+        if n >= 2:
+            assert build(DirectedCycle(n)) == family_by_definition(DirectedCycle(n))
+
+
 def test_natural_partition_is_equitable_for_all_kinds():
     for spec in (
         CompleteMultipartite((2, 3, 1)),

@@ -379,6 +379,22 @@ def test_join_singletons():
     assert two == Digraph(2, [(0, 1), (1, 0)])
 
 
+def test_join_matches_the_pair_definition():
+    rng = random.Random(49)
+    for _ in range(30):
+        na, nb = rng.randint(1, 5), rng.randint(1, 5)
+        a, b = _random_graph(rng, na), _random_graph(rng, nb)
+        cross = {(u, na + v) for u in range(na) for v in range(nb)}
+        shifted = {(u + na, v + na) for u, v in b.edges}
+        assert join(a, b) == Graph(na + nb, a.edges | shifted | cross)
+        a, b = _random_digraph(rng, na), _random_digraph(rng, nb)
+        shifted = {(u + na, v + na) for u, v in b.arcs}
+        both_ways = cross | {(v, u) for u, v in cross}
+        assert join(a, b) == Digraph(na + nb, a.arcs | shifted | both_ways)
+    with pytest.raises(TypeError):
+        join(Graph(2), Digraph(2))
+
+
 def test_join_builds_connectivity_family_up_to_isomorphism():
     n, k, p = 6, 2, 2
     q = n - p - k
@@ -474,3 +490,59 @@ def test_graph_construction_errors_are_typed(make, message):
 def test_digraph_reverse_arcs_are_distinct():
     dg = parse_graph_file("digraph 2\n0 1\n1 0\n")
     assert dg.arcs == frozenset({(0, 1), (1, 0)})
+
+
+# ---------------------------------------------------------------------------
+# storage: the adjacency matrix
+
+
+def test_equality_and_hash_ignore_pair_order_and_duplicates():
+    a = Graph(4, [(0, 1), (2, 3), (1, 2)])
+    b = Graph(4, [(3, 2), (1, 2), (1, 0), (0, 1)])
+    assert a == b and hash(a) == hash(b)
+    c = Digraph(3, [(0, 1), (1, 2)])
+    d = Digraph(3, [(1, 2), (0, 1), (1, 2)])
+    assert c == d and hash(c) == hash(d)
+    assert c != Digraph(3, [(1, 0), (1, 2)]) and a != Graph(5, a.edges)
+    assert len({a, b, c, d}) == 2
+
+
+def test_graph_and_digraph_on_the_same_pairs_are_unequal():
+    pairs = [(0, 1), (1, 0), (1, 2), (2, 1)]
+    g, dg = Graph(3, pairs), Digraph(3, pairs)
+    assert np.array_equal(g.adjacency, dg.adjacency)
+    assert g != dg and dg != g
+    assert Graph(1) != Digraph(1)
+
+
+def test_stored_matrix_is_read_only():
+    objs = [
+        Graph(3, [(0, 1)]),
+        Digraph(3, [(0, 1)]),
+        build(KnkpDigraph(6, 2, 1)),
+        build(DirectedCycle(4)),
+        join(Graph(1), Graph(2)),
+        parse_graph_file("digraph 2\n0 1\n"),
+    ]
+    for obj in objs:
+        assert obj.adjacency.dtype == np.uint8 and obj.adjacency.shape == (obj.n, obj.n)
+        with pytest.raises(ValueError):
+            obj.adjacency[0, 1] = 0
+        with pytest.raises(ValueError):
+            obj.adjacency.fill(1)
+
+
+def test_pairs_round_trip_through_the_constructor():
+    rng = random.Random(50)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        g, dg = _random_graph(rng, n), _random_digraph(rng, n)
+        assert Graph(n, g.edges) == g and Graph(n, g.edges).edges == g.edges
+        assert Digraph(n, dg.arcs) == dg and Digraph(n, dg.arcs).arcs == dg.arcs
+        assert all(u < v for u, v in g.edges)
+        for pairs in (g.edges, dg.arcs):
+            assert all(type(x) is int for pair in pairs for x in pair)
+        assert g.degrees() == tuple(sum(v in e for e in g.edges) for v in range(n))
+        assert dg.out_sets() == [{v for u, v in dg.arcs if u == w} for w in range(n)]
+    assert repr(Graph(3, [(2, 1), (0, 1)])) == "Graph(n=3, edges=[(0, 1), (1, 2)])"
+    assert repr(Digraph(2, [(1, 0)])) == "Digraph(n=2, arcs=[(1, 0)])"

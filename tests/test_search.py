@@ -418,7 +418,7 @@ def default_probe_outputs():
 
 @pytest.mark.parametrize("name, bound", _GROUPINGS)
 def test_probe_grouping_never_moves_a_bit(monkeypatch, default_probe_outputs, name, bound):
-    monkeypatch.setattr(search, name, bound)
+    monkeypatch.setattr(quotient if name == "_PROBE_WINDOW" else search, name, bound)
     assert _probe_outputs() == default_probe_outputs
 
 
@@ -480,9 +480,10 @@ def test_probe_chunks_hold_plain_ints_only():
 
 @pytest.mark.parametrize("window, segment", [(None, None), (1 << 13, 1 << 16)])
 def test_probe_stacks_and_segments_stay_bounded_at_large_orders(monkeypatch, window, segment):
-    for name, bound in (("_PROBE_WINDOW", window), ("_PROBE_SEGMENT", segment)):
+    bounds = ((quotient, "_PROBE_WINDOW", window), (search, "_PROBE_SEGMENT", segment))
+    for module, name, bound in bounds:
         if bound is not None:
-            monkeypatch.setattr(search, name, bound)
+            monkeypatch.setattr(module, name, bound)
     stacks, segments = [], []
     realize, draw = quotient._realize_stacks, search._probe_chunks
 
@@ -504,7 +505,7 @@ def test_probe_stacks_and_segments_stay_bounded_at_large_orders(monkeypatch, win
     assert payload == conjecture_campaign(trials, 2, n_range, t_range)
     assert len(segments) > 1 or segment is None
     for _, members, entries in stacks:
-        assert entries <= search._PROBE_WINDOW or len(members) == 1
+        assert entries <= quotient._PROBE_WINDOW or len(members) == 1
     for blocks, _, coeffs in segments:
         assert len(coeffs) <= search._PROBE_SEGMENT >> 3 or len(blocks) == 1
     # every trial is realized once
