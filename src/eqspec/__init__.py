@@ -8,16 +8,13 @@ connectivity-extremal families, exhaustive small-order scans, and a CLI.
 
 from .errors import (
     BudgetExceeded,
-    CompleteInput,
     ConvergenceFailure,
     DimensionMismatch,
     DisconnectedInput,
     EqspecError,
     InvalidParameters,
     NotEquitable,
-    NotIrreducible,
     NotNonnegative,
-    NotStronglyConnected,
     NotSymmetric,
     ParseError,
     UnknownClaim,
@@ -55,15 +52,11 @@ from .graphs import (
 )
 from .linalg import (
     ExactMatrix,
-    MatrixOrder,
     Polynomial,
     Spectrum,
     char_poly,
     eigenvalues,
-    matrix_order,
-    perron_root,
     poly_roots,
-    row_sum_bounds,
     spectral_radius,
 )
 from .quotient import (
@@ -81,8 +74,6 @@ from .search import (
     ExtremalCertificate,
     ScanJob,
     conjecture_search,
-    dominate_with_extremal,
-    enumerate_class,
     extremal_scan,
     is_isomorphic,
     theorem_scan,

@@ -21,24 +21,12 @@ class NotNonnegative(EqspecError):
     """Matrix has a negative entry where nonnegativity is required."""
 
 
-class NotIrreducible(EqspecError):
-    """Matrix is reducible (support digraph not strongly connected)."""
-
-
 class NotEquitable(EqspecError):
     """Partition is not equitable for the given matrix."""
 
 
 class NotSymmetric(EqspecError):
     """Matrix is not symmetric where symmetry is required."""
-
-
-class NotStronglyConnected(EqspecError):
-    """Digraph input must be strongly connected."""
-
-
-class CompleteInput(EqspecError):
-    """Complete (di)graph has no vertex cut of size at most n-2."""
 
 
 class InvalidParameters(EqspecError):
@@ -58,7 +46,7 @@ class BudgetExceeded(EqspecError):
 
 
 class ConvergenceFailure(EqspecError):
-    """Iterative eigensolver failed to converge within its iteration cap."""
+    """LAPACK's eigensolver failed to converge."""
 
 
 class ZeroPolynomial(EqspecError):

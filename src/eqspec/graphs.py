@@ -17,6 +17,7 @@ and fail hard otherwise.
 from __future__ import annotations
 
 import enum
+import operator
 from itertools import combinations, islice
 
 import numpy as np
@@ -64,11 +65,19 @@ class _AdjacencyGraph:
     directed: bool
 
     def __init__(self, n: int, pairs=()):
-        noun = "arc" if self.directed else "edge"
+        name, noun = type(self).__name__.lower(), "arc" if self.directed else "edge"
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise InvalidParameters(f"{name} vertex count must be an integer, got {n!r}") from None
         if n < 1:
-            raise InvalidParameters(f"{type(self).__name__.lower()} needs at least one vertex")
+            raise InvalidParameters(f"{name} needs at least one vertex")
         checked = []
-        for u, v in pairs:
+        for pair in pairs:
+            try:
+                u, v = map(operator.index, pair)
+            except (TypeError, ValueError):
+                raise InvalidParameters(f"{noun} {pair!r} is not a pair of integers") from None
             if u == v:
                 raise InvalidParameters(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):

@@ -5,14 +5,13 @@ characteristic polynomials (batched multi-modular Faddeev-LeVerrier in
 int64 with Chinese remaindering), polynomial arithmetic with gcd-based
 square-free factorization.
 
-Numeric side: full spectra through LAPACK, Perron roots through power
-iteration with Collatz-Wielandt bracketing, entrywise matrix comparison,
-and a tolerance-aware eigenvalue multiset (``Spectrum``).
+Numeric side: full spectra and spectral radii through LAPACK, single or
+batched over a stack of matrices, and a tolerance-aware eigenvalue multiset
+(``Spectrum``).
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import math
@@ -22,13 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    NotIrreducible,
-    NotNonnegative,
-    ZeroPolynomial,
-)
+from .errors import ConvergenceFailure, DimensionMismatch, ZeroPolynomial
 
 Scalar = int | Fraction
 
@@ -68,10 +61,6 @@ class ExactMatrix:
         return len(self.rows)
 
     @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def zeros(cls, n: int) -> "ExactMatrix":
         return cls([[0] * n for _ in range(n)])
 
@@ -85,41 +74,8 @@ class ExactMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_order(other)
-        return ExactMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_order(other)
-        return ExactMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_order(other)
-        cols = list(zip(*other.rows))
-        return ExactMatrix(
-            [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def _check_same_order(self, other: "ExactMatrix") -> None:
-        if self.n != other.n:
-            raise DimensionMismatch(f"order mismatch: {self.n} vs {other.n}")
-
-    def trace(self) -> Scalar:
-        return sum(self.rows[i][i] for i in range(self.n))
-
     def row_sums(self) -> tuple:
         return tuple(sum(row) for row in self.rows)
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
 
     def to_numpy(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
@@ -221,13 +177,6 @@ class Polynomial:
 
     def scale(self, c: Scalar) -> "Polynomial":
         return Polynomial([c * x for x in self.coeffs])
-
-    def evaluate(self, x):
-        """Horner evaluation; exact for int/Fraction arguments."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def derivative(self) -> "Polynomial":
         if self.degree < 1:
@@ -393,6 +342,10 @@ def char_poly(m: ExactMatrix) -> Polynomial:
 # spectra
 
 
+# real parts this close are one group when a spectrum is expanded for pairing
+_RE_TIE = 1e-6
+
+
 def _sort_key(v: complex):
     return (-v.real, -v.imag)
 
@@ -456,10 +409,10 @@ class Spectrum:
             out.extend([v] * m)
         return out
 
-    def _canonical_values(self, re_tie: float = 1e-6) -> list[complex]:
+    def _canonical_values(self) -> list[complex]:
         """Expansion ordered for cross-list pairing.
 
-        Real parts within re_tie of each other are grouped (chain rule)
+        Real parts within ``_RE_TIE`` of each other are grouped (chain rule)
         before the imaginary ordering applies, so a conjugate pair and a
         real eigenvalue sharing a real part line up identically on both
         sides of a comparison despite 1-ulp noise.
@@ -469,14 +422,11 @@ class Spectrum:
         i = 0
         while i < len(vs):
             j = i + 1
-            while j < len(vs) and vs[j - 1].real - vs[j].real <= re_tie:
+            while j < len(vs) and vs[j - 1].real - vs[j].real <= _RE_TIE:
                 j += 1
             out.extend(sorted(vs[i:j], key=lambda v: -v.imag))
             i = j
         return out
-
-    def radius(self) -> float:
-        return max(abs(v) for v, _ in self.pairs)
 
     def max_real(self) -> float:
         return max(v.real for v, _ in self.pairs)
@@ -584,74 +534,6 @@ def eigenvalues(m, cluster_tol: float = 1e-6) -> Spectrum:
 def spectral_radius(m) -> float:
     """Largest eigenvalue modulus."""
     return float(np.max(np.abs(_eigvals(as_numeric(m)))))
-
-
-def row_sum_bounds(m) -> tuple[float, float]:
-    """(min, max) row sum of a nonnegative matrix; brackets the Perron root."""
-    a = as_numeric(m)
-    if np.any(a < 0):
-        raise NotNonnegative("row_sum_bounds requires a nonnegative matrix")
-    sums = a.sum(axis=1)
-    return float(sums.min()), float(sums.max())
-
-
-def perron_root(m, tol: float = 1e-11) -> float:
-    """Perron eigenvalue of a nonnegative irreducible matrix.
-
-    Power iteration on M + I (guarantees primitivity) with Collatz-Wielandt
-    bracketing; the first iterate's bracket is exactly the row-sum bounds.
-    Independent of the LAPACK path used by ``spectral_radius``.
-    """
-    a = as_numeric(m)
-    n = a.shape[0]
-    if np.any(a < 0):
-        raise NotNonnegative("perron_root requires a nonnegative matrix")
-    if n == 1:
-        return float(a[0, 0])
-    from .graphs import distances  # graphs builds on this module
-
-    if not distances((a > 0)[None])[1].all():
-        raise NotIrreducible("perron_root requires an irreducible matrix")
-    shifted = a + np.eye(n)
-    x = np.ones(n)
-    cap = 100 * n * n + 1000
-    for _ in range(cap):
-        y = shifted @ x
-        ratios = y / x
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= tol * max(1.0, hi):
-            return (lo + hi) / 2.0 - 1.0
-        x = y / np.linalg.norm(y)
-    raise ConvergenceFailure(f"perron_root: no convergence in {cap} iterations")
-
-
-class MatrixOrder(enum.Enum):
-    """Entrywise comparison classes: <= / < (not equal) / << (strict everywhere)."""
-
-    EQ = "EQ"
-    LESS = "LESS"  # A < B: entrywise <=, not equal
-    MUCH_LESS = "MUCH_LESS"  # A << B: entrywise <
-    GREATER = "GREATER"
-    MUCH_GREATER = "MUCH_GREATER"
-    INCOMPARABLE = "INCOMPARABLE"
-
-
-def matrix_order(a, b) -> MatrixOrder:
-    """Classify the entrywise order of two same-order matrices."""
-    x, y = as_numeric(a), as_numeric(b)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shape mismatch: {x.shape} vs {y.shape}")
-    if np.array_equal(x, y):
-        return MatrixOrder.EQ
-    if np.all(x < y):
-        return MatrixOrder.MUCH_LESS
-    if np.all(x <= y):
-        return MatrixOrder.LESS
-    if np.all(x > y):
-        return MatrixOrder.MUCH_GREATER
-    if np.all(x >= y):
-        return MatrixOrder.GREATER
-    return MatrixOrder.INCOMPARABLE
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    CompleteInput,
-    InvalidParameters,
-    NotStronglyConnected,
-)
+from .errors import BudgetExceeded, InvalidParameters
 from .families import (
     BidirectedComplete,
     DirectedCycle,
@@ -40,22 +35,18 @@ from .families import (
     format_family,
 )
 from .graphs import (
-    Digraph,
     MatrixKind,
-    _cut_reach,
     _from_adjacency,
     distances,
-    is_strongly_connected,
     matrix_stack,
     vertex_connectivities,
-    vertex_connectivity,
 )
 from .quotient import BlockSpec, ProbeReport, _as_spec, _probe_verdict, stacked_spectra
 
 UNDIRECTED_VERTEX_BUDGET = 7  # 2**21 labeled graphs
 DIRECTED_VERTEX_BUDGET = 5  # 2**20 labeled digraphs
 PROBE_ORDER_BUDGET = 500  # largest random probe matrix: 500 x 500 floats
-_WALK_WINDOW = 4096  # masks searched for the next unseen orbit, or made (di)graphs, at a time
+_WALK_WINDOW = 4096  # masks searched for the next unseen orbit at a time
 _PROBE_SEGMENT = 1 << 19  # matrix entries (an eighth as many coefficients) drawn at a time
 
 OBJECTIVES = ("rho", "q", "rhoD", "qD")
@@ -389,23 +380,6 @@ def bound_scan(n: int) -> dict:
     return _certificates(n, True, targets)
 
 
-def enumerate_class(n: int, directed: bool, kappa: int):
-    """Yield all labeled (strongly) connected (di)graphs with the given
-    vertex connectivity, in ascending adjacency-bitmask order."""
-    _check_budget(n, directed)
-    if not 1 <= kappa <= n - 1:
-        raise InvalidParameters(f"need 1 <= kappa <= n-1, got kappa={kappa}")
-    reps, _ = _orbits(n, directed)
-    pairs = pair_table(n, directed)
-    adj = _adjacency_batch(reps, n, pairs, directed)
-    connected = distances(adj)[1].all(axis=(1, 2))
-    in_class = vertex_connectivities(adj, connected) == kappa
-    masks = _expand(n, directed, reps[in_class])
-    for lo in range(0, masks.size, _WALK_WINDOW):
-        for one in _adjacency_batch(masks[lo : lo + _WALK_WINDOW], n, pairs, directed):
-            yield _from_adjacency(one, directed)
-
-
 # ---------------------------------------------------------------------------
 # isomorphism (through the relabeling table, n <= 7)
 
@@ -420,68 +394,6 @@ def is_isomorphic(a, b) -> bool:
 def labeled_isomorph_masks(obj) -> frozenset:
     """Adjacency bitmasks of every relabeling of the given (di)graph (n <= 7)."""
     return frozenset(_expand(obj.n, obj.directed, mask_from_graph(obj)).tolist())
-
-
-# ---------------------------------------------------------------------------
-# extremal completion
-
-
-@dataclass(frozen=True)
-class DominationEmbedding:
-    """Witness that the input spans a connectivity-family host digraph.
-
-    witness[v] is the new index of original vertex v; under this relabeling
-    every arc of the input is an arc of the host.
-    """
-
-    p: int
-    host: Digraph
-    witness: tuple[int, ...]
-
-
-def dominate_with_extremal(dg: Digraph) -> DominationEmbedding:
-    """Embed a strongly connected digraph into its extremal completion.
-
-    Finds a minimum vertex cut S, takes the strong component of dg - S with
-    no in-arcs from the rest (one exists), and relabels so that component,
-    S, and the remainder become the three canonical cells. The host is the
-    connectivity family member on the same n and k; the input is a spanning
-    subdigraph of the host under the witness relabeling, so its spectral
-    objectives are dominated by the host's.
-    """
-    n = dg.n
-    if not is_strongly_connected(dg):
-        raise NotStronglyConnected("dominate_with_extremal requires strong connectivity")
-    k = vertex_connectivity(dg)
-    if k == n - 1:
-        raise CompleteInput("complete digraph has no vertex cut of size at most n-2")
-    # the first cut of k vertices, in lexicographic order, that breaks strong
-    # connectivity, with R, the reachability of dg minus that cut
-    for keep, reach in _cut_reach(dg.adjacency[None], k):
-        broken = np.flatnonzero(~reach[0].all(axis=(1, 2)))
-        if broken.size:
-            keep, reach = keep[broken[0]], reach[0, broken[0]]
-            break
-    else:  # pragma: no cover - contradicts vertex_connectivity
-        raise CompleteInput("no vertex cut found")
-    # the strong components are the classes of R & R^T; v's has no in-arcs
-    # from the rest of dg minus the cut when each vertex reaching v is
-    # reached from v, and G1 is the one holding the smallest such v
-    source = np.flatnonzero((reach <= reach.T).all(axis=0))[0]
-    g1 = set(keep[reach[source] & reach[:, source]].tolist())
-    rest = set(keep.tolist())
-    cut = set(range(n)) - rest
-    p = len(g1)
-    order = sorted(g1) + sorted(cut) + sorted(rest - g1)
-    witness = [0] * n
-    for pos, v in enumerate(order):
-        witness[v] = pos
-    host = build(KnkpDigraph(n, k, p))
-    # relabeled, the input's vertex order[pos] is pos: every arc must be the host's
-    relabeled = dg.adjacency[np.ix_(order, order)]
-    if (relabeled > host.adjacency).any():  # pragma: no cover - ordering theorem
-        raise AssertionError("embedding failed: input is not spanned by the host")
-    return DominationEmbedding(p=p, host=host, witness=tuple(witness))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvalidParameters, UnknownClaim
 from .families import (
+    BidirectedComplete,
     CliqueStar,
     CompleteMultipartite,
+    DirectedCycle,
     FamilySpec,
     KnkpDigraph,
     KnkpGraph,
@@ -50,6 +52,12 @@ from .quotient import (
     _segment_trials,
     quotient_matrix,
     stacked_spectra,
+)
+from .search import (
+    _check_probe_parameters,
+    _probe_chunks,
+    bound_scan,
+    labeled_isomorph_masks,
 )
 
 _NUMERIC_TOL = 1e-7
@@ -660,9 +668,6 @@ def _handle_factored_charpoly(claim: str, item: str, params: dict) -> Verificati
 
 
 def _handle_corollary_bounds(claim_id: str, params: dict) -> VerificationReport:
-    from .families import BidirectedComplete, DirectedCycle
-    from .search import bound_scan, labeled_isomorph_masks  # heavy import kept local
-
     n = params["n"]
     certificates = bound_scan(n)
     if claim_id == "cor2.5":
@@ -705,8 +710,6 @@ def _handle_corollary_bounds(claim_id: str, params: dict) -> VerificationReport:
 
 
 def _handle_block_spectrum_random(params: dict) -> VerificationReport:
-    from .search import _check_probe_parameters, _probe_chunks
-
     trials, seed = params["trials"], params["seed"]
     n_range, t_range = (1, params["n_max"]), (1, params["t_max"])
     _check_probe_parameters(trials, n_range, t_range)

@@ -6,10 +6,11 @@ division-free recurrence over exact scalars, instead of multi-modular
 Faddeev-LeVerrier, Floyd-Warshall instead of level-by-level matrix
 products, union-find, Warshall's closure and depth-first search instead of
 reachability products, max-flow Menger instead of batched cut enumeration,
-bisection instead of closed forms, per-block loops instead of the stacked
-cell-sum reduction (and a row-at-a-time reduction that pins its summation
-order), one labeled graph and one permutation at a time instead of
-isomorphism orbits and relabeling tables, one probe trial at a time
+bisection instead of closed forms, power iteration with Collatz-Wielandt
+bracketing instead of LAPACK for Perron roots, per-block loops instead of
+the stacked cell-sum reduction (and a row-at-a-time reduction that pins its
+summation order), one labeled graph and one permutation at a time instead
+of isomorphism orbits and relabeling tables, one probe trial at a time
 instead of chunks solved by matrix shape, one family member at a time
 instead of a connectivity theorem's members solved as one stack, and the
 block families written out from their definitions, clique by clique and
@@ -42,6 +43,7 @@ from eqspec.graphs import Digraph, Graph, MatrixKind, build_matrix
 from eqspec.linalg import (
     ExactMatrix,
     Polynomial,
+    as_numeric,
     eigenvalues,
     largest_real_root,
     spectral_radius,
@@ -327,17 +329,17 @@ def bisection_largest_root(poly: Polynomial, lo: Fraction, hi: Fraction, steps: 
     """
     lo, hi = Fraction(lo), Fraction(hi)
     grid = 256
-    prev_x, prev_sign = hi, _sign(poly.evaluate(hi))
+    prev_x, prev_sign = hi, _sign(horner(poly, hi))
     for i in range(1, grid + 1):
         x = hi - (hi - lo) * i / grid
-        s = _sign(poly.evaluate(x))
+        s = _sign(horner(poly, x))
         if s == 0:
             return float(x)
         if s != prev_sign:
             a, b = x, prev_x
             for _ in range(steps):
                 mid = (a + b) / 2
-                sm = _sign(poly.evaluate(mid))
+                sm = _sign(horner(poly, mid))
                 if sm == 0:
                     return float(mid)
                 if sm == s:
@@ -351,6 +353,52 @@ def bisection_largest_root(poly: Polynomial, lo: Fraction, hi: Fraction, steps: 
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
+
+
+def horner(poly: Polynomial, x):
+    """poly(x) by Horner's rule; exact for int/Fraction arguments."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def row_sum_bounds(m) -> tuple[float, float]:
+    """(min, max) row sum of a nonnegative matrix; brackets the Perron root."""
+    a = as_numeric(m)
+    if np.any(a < 0):
+        raise ValueError("row_sum_bounds requires a nonnegative matrix")
+    sums = a.sum(axis=1)
+    return float(sums.min()), float(sums.max())
+
+
+def perron_root(m, tol: float = 1e-11) -> float:
+    """Perron eigenvalue of a nonnegative irreducible matrix.
+
+    Power iteration on M + I (guarantees primitivity) with Collatz-Wielandt
+    bracketing; the first iterate's bracket is exactly the row-sum bounds.
+    Independent of the LAPACK path used by ``spectral_radius``.
+    """
+    a = as_numeric(m)
+    n = a.shape[0]
+    if np.any(a < 0):
+        raise ValueError("perron_root requires a nonnegative matrix")
+    if n == 1:
+        return float(a[0, 0])
+    support = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and a[u, v] > 0])
+    if not strongly_connected_warshall(support):
+        raise ValueError("perron_root requires an irreducible matrix")
+    shifted = a + np.eye(n)
+    x = np.ones(n)
+    cap = 100 * n * n + 1000
+    for _ in range(cap):
+        y = shifted @ x
+        ratios = y / x
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= tol * max(1.0, hi):
+            return (lo + hi) / 2.0 - 1.0
+        x = y / np.linalg.norm(y)
+    raise RuntimeError(f"perron_root: no convergence in {cap} iterations")
 
 
 def quotient_matrix_blockwise(a: np.ndarray, part) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -23,7 +24,7 @@ from oracles import (
 
 from eqspec import quotient, search
 
-from eqspec.errors import BudgetExceeded, CompleteInput, NotStronglyConnected
+from eqspec.errors import BudgetExceeded
 from eqspec.families import (
     BidirectedComplete,
     DirectedCycle,
@@ -34,6 +35,7 @@ from eqspec.families import (
 from eqspec.graphs import (
     Digraph,
     Graph,
+    _cut_reach,
     build_matrix,
     is_strongly_connected,
     vertex_connectivity,
@@ -47,8 +49,6 @@ from eqspec.search import (
     _orbits,
     _probe_chunks,
     conjecture_search,
-    dominate_with_extremal,
-    enumerate_class,
     extremal_scan,
     graph_from_mask,
     is_isomorphic,
@@ -63,34 +63,7 @@ from eqspec.search import (
 # enumeration
 
 
-def test_enumerate_three_vertex_graphs():
-    paths = list(enumerate_class(3, False, 1))
-    assert len(paths) == 3
-    assert all(len(g.edges) == 2 for g in paths)
-    triangles = list(enumerate_class(3, False, 2))
-    assert triangles == [Graph(3, [(0, 1), (0, 2), (1, 2)])]
-
-
-def test_enumerate_three_vertex_digraphs_matches_filter_pipeline():
-    # independent pipeline: connectivity + cut checks on all 2^6 arc sets
-    expected = []
-    for mask in range(64):
-        dg = graph_from_mask(3, mask, True)
-        if is_strongly_connected(dg) and vertex_connectivity(dg) == 1:
-            expected.append(dg)
-    assert list(enumerate_class(3, True, 1)) == expected
-
-
-def test_enumerate_mask_order_is_ascending():
-    masks = [mask_from_graph(g) for g in enumerate_class(3, False, 1)]
-    assert masks == sorted(masks)
-
-
 def test_enumerate_budget():
-    with pytest.raises(BudgetExceeded):
-        next(enumerate_class(8, False, 1))
-    with pytest.raises(BudgetExceeded):
-        next(enumerate_class(6, True, 1))
     with pytest.raises(BudgetExceeded):
         labeled_isomorph_masks(Graph(8, [(0, 1)]))
 
@@ -232,7 +205,6 @@ def test_strong_components_match_the_dfs_oracle():
     # cut, for every 4-vertex digraph at once and every cut of 0..2 vertices
     import numpy as np
 
-    from eqspec.graphs import _cut_reach
     from eqspec.search import _adjacency_batch
 
     n = 4
@@ -251,6 +223,65 @@ def test_strong_components_match_the_dfs_oracle():
                     expected = strong_components(kept, graph)
                     assert mine == set(map(frozenset, expected))
         assert next(cuts, None) is None
+
+
+@dataclass(frozen=True)
+class DominationEmbedding:
+    """Witness that the input spans a connectivity-family host digraph.
+
+    witness[v] is the new index of original vertex v; under this relabeling
+    every arc of the input is an arc of the host.
+    """
+
+    p: int
+    host: Digraph
+    witness: tuple[int, ...]
+
+
+def dominate_with_extremal(dg: Digraph) -> DominationEmbedding:
+    """Embed a strongly connected digraph into its extremal completion, the
+    paper's domination step.
+
+    Finds a minimum vertex cut S, takes the strong component of dg - S with
+    no in-arcs from the rest (one exists), and relabels so that component,
+    S, and the remainder become the three canonical cells. The host is the
+    connectivity family member on the same n and k; the input is a spanning
+    subdigraph of the host under the witness relabeling, so its spectral
+    objectives are dominated by the host's.
+    """
+    n = dg.n
+    if not is_strongly_connected(dg):
+        raise ValueError("dominate_with_extremal requires strong connectivity")
+    k = vertex_connectivity(dg)
+    if k == n - 1:
+        raise ValueError("complete digraph has no vertex cut of size at most n-2")
+    # the first cut of k vertices, in lexicographic order, that breaks strong
+    # connectivity, with R, the reachability of dg minus that cut
+    for keep, reach in _cut_reach(dg.adjacency[None], k):
+        broken = np.flatnonzero(~reach[0].all(axis=(1, 2)))
+        if broken.size:
+            keep, reach = keep[broken[0]], reach[0, broken[0]]
+            break
+    else:  # pragma: no cover - contradicts vertex_connectivity
+        raise AssertionError("no vertex cut found")
+    # the strong components are the classes of R & R^T; v's has no in-arcs
+    # from the rest of dg minus the cut when each vertex reaching v is
+    # reached from v, and G1 is the one holding the smallest such v
+    source = np.flatnonzero((reach <= reach.T).all(axis=0))[0]
+    g1 = set(keep[reach[source] & reach[:, source]].tolist())
+    rest = set(keep.tolist())
+    cut = set(range(n)) - rest
+    p = len(g1)
+    order = sorted(g1) + sorted(cut) + sorted(rest - g1)
+    witness = [0] * n
+    for pos, v in enumerate(order):
+        witness[v] = pos
+    host = build(KnkpDigraph(n, k, p))
+    # relabeled, the input's vertex order[pos] is pos: every arc must be the host's
+    relabeled = dg.adjacency[np.ix_(order, order)]
+    if (relabeled > host.adjacency).any():  # pragma: no cover - ordering theorem
+        raise AssertionError("embedding failed: input is not spanned by the host")
+    return DominationEmbedding(p=p, host=host, witness=tuple(witness))
 
 
 def test_dominate_fixed_point():
@@ -273,9 +304,9 @@ def test_dominate_directed_cycle():
 
 
 def test_dominate_rejects_bad_inputs():
-    with pytest.raises(NotStronglyConnected):
+    with pytest.raises(ValueError, match="strong connectivity"):
         dominate_with_extremal(Digraph(3, [(0, 1), (1, 2)]))
-    with pytest.raises(CompleteInput):
+    with pytest.raises(ValueError, match="complete digraph"):
         dominate_with_extremal(build(BidirectedComplete(4)))
 
 
