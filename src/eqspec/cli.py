@@ -30,16 +30,6 @@ _SIGNIFICANT_DIGITS = 12
 # (2-core VM)
 GRAPH_ORDER_BUDGET = 64
 
-_RADIUS_NAMES = {
-    MatrixKind.ADJACENCY: "rho",
-    MatrixKind.LAPLACIAN: "mu",
-    MatrixKind.SIGNLESS_LAPLACIAN: "q",
-    MatrixKind.DISTANCE: "rhoD",
-    MatrixKind.DISTANCE_LAPLACIAN: "muD",
-    MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN: "qD",
-}
-
-
 def _round_floats(obj):
     """Round every float to 12 significant digits for stable output."""
     if isinstance(obj, float):
@@ -111,9 +101,8 @@ def _cmd_analyze(args) -> int:
     dist = graphs._connected_distances(adj, obj.directed)
     matrices, summary = {}, {}
     for kind in kinds:
-        base = dist if graphs._KIND_FORMS[kind][0] else adj
-        [values] = linalg.eigvals_stack(graphs.matrix_stack(base, kind))
-        radius = summary[_RADIUS_NAMES[kind]] = float(np.max(np.abs(values)))
+        [values] = linalg.eigvals_stack(graphs.matrix_stack(dist if kind.distance else adj, kind))
+        radius = summary[kind.radius_name] = float(np.max(np.abs(values)))
         matrices[kind.value] = {
             "spectrum": linalg.Spectrum.from_values(values).to_json(),
             "spectral_radius": radius,

@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import InvalidParameters, ParseError, UnsupportedFamily
-from .graphs import _KIND_FORMS, Graph, MatrixKind, _from_adjacency
+from .graphs import Graph, MatrixKind, _from_adjacency
 from .quotient import BlockSpec, Partition
 
 
@@ -188,17 +188,17 @@ def adjacency_blockspec(spec: FamilySpec, kind) -> BlockSpec:
     entrywise; this is the keystone identity the tests pin down.
     """
     sizes, _, joined = _cells(spec, "no block description for {spec.__class__.__name__}")
-    distance, sign, diagonal = _KIND_FORMS[MatrixKind.coerce(kind)]
+    kind = MatrixKind.coerce(kind)
     t = len(sizes)
-    b = [[1 if joined(i, j) else 2 * distance for j in range(t)] for i in range(t)]
-    l = [sign * b[i][i] for i in range(t)]
+    b = [[1 if joined(i, j) else 2 * kind.distance for j in range(t)] for i in range(t)]
+    l = [kind.sign * b[i][i] for i in range(t)]
     r = [sum(nj * bij for nj, bij in zip(sizes, row)) - row[i] for i, row in enumerate(b)]
-    p = [(r[i] if diagonal else 0) - l[i] for i in range(t)]
+    p = [(r[i] if kind.diagonal else 0) - l[i] for i in range(t)]
     if isinstance(spec, CliqueStar):
         # The hub keeps its diagonal in l, not p: recorded outputs, such as
         # the bench digest of `family cliquestar:3,4,5`, print it there.
         l[0], p[0] = l[0] + p[0], 0
-    s = tuple(tuple(0 if i == j else sign * b[i][j] for j in range(t)) for i in range(t))
+    s = tuple(tuple(0 if i == j else kind.sign * b[i][j] for j in range(t)) for i in range(t))
     return BlockSpec(sizes, tuple(l), tuple(p), s)
 
 

@@ -11,7 +11,8 @@ a stack of one. All six matrices (adjacency, Laplacian, signless
 Laplacian, distance, distance Laplacian, distance signless Laplacian) come
 from one stacked builder, ``build_matrices``, with exact integer entries;
 the distance kinds require a connected graph / strongly connected digraph
-and fail hard otherwise.
+and fail hard otherwise. ``MatrixKind`` is the one table of what sets the
+six kinds apart: base, sign, diagonal, radius name and extremal sense.
 """
 
 from __future__ import annotations
@@ -34,14 +35,36 @@ _ENTRY_WINDOW = 1 << 16
 
 
 class MatrixKind(enum.Enum):
-    """The six matrices attached to a (di)graph, keyed by their wire names."""
+    """The six matrices attached to a (di)graph, keyed by their wire names.
 
-    ADJACENCY = "A"
-    LAPLACIAN = "L"
-    SIGNLESS_LAPLACIAN = "Q"
-    DISTANCE = "D"
-    DISTANCE_LAPLACIAN = "DL"
-    DISTANCE_SIGNLESS_LAPLACIAN = "DQ"
+    Each kind is built from a base, the adjacency matrix A or the distance
+    matrix D: the base, negated for the Laplacians, with the base's row sums
+    (degrees or out-degrees; transmissions) on the diagonal for the
+    (signless) Laplacians. The connectivity theorems maximize or minimize
+    the spectral radius of four kinds (``sense``):
+
+        kind  base  sign  row sums on diagonal  radius  sense
+        A     A     +1    no                    rho     max
+        L     A     -1    yes                   mu      None
+        Q     A     +1    yes                   q       max
+        D     D     +1    no                    rhoD    min
+        DL    D     -1    yes                   muD     None
+        DQ    D     +1    yes                   qD      min
+    """
+
+    ADJACENCY = ("A", False, 1, False, "rho", "max")
+    LAPLACIAN = ("L", False, -1, True, "mu", None)
+    SIGNLESS_LAPLACIAN = ("Q", False, 1, True, "q", "max")
+    DISTANCE = ("D", True, 1, False, "rhoD", "min")
+    DISTANCE_LAPLACIAN = ("DL", True, -1, True, "muD", None)
+    DISTANCE_SIGNLESS_LAPLACIAN = ("DQ", True, 1, True, "qD", "min")
+
+    def __new__(cls, wire, distance, sign, diagonal, radius_name, sense):
+        member = object.__new__(cls)
+        member._value_ = wire
+        member.distance, member.sign, member.diagonal = distance, sign, diagonal
+        member.radius_name, member.sense = radius_name, sense
+        return member
 
     @classmethod
     def coerce(cls, kind) -> "MatrixKind":
@@ -204,31 +227,19 @@ def _connected_distances(adj: np.ndarray, directed: bool) -> np.ndarray:
     return dist
 
 
-# kind -> (built from distances rather than adjacency, off-diagonal sign,
-# row sums on the diagonal)
-_KIND_FORMS = {
-    MatrixKind.ADJACENCY: (False, 1, False),
-    MatrixKind.LAPLACIAN: (False, -1, True),
-    MatrixKind.SIGNLESS_LAPLACIAN: (False, 1, True),
-    MatrixKind.DISTANCE: (True, 1, False),
-    MatrixKind.DISTANCE_LAPLACIAN: (True, -1, True),
-    MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN: (True, 1, True),
-}
-
-
 def matrix_stack(base: np.ndarray, kind) -> np.ndarray:
     """One kind's matrices as a (b, n, n) int32 stack, from the stack of
     adjacency matrices (A, L, Q) or of distance matrices (D, DL, DQ).
 
     Each matrix is the base, negated for the Laplacians, with the base's
-    row sums (degrees or out-degrees; transmissions) on the diagonal for
-    the (signless) Laplacians, since the base's own diagonal is zero.
+    row sums on the diagonal for the (signless) Laplacians, since the base's
+    own diagonal is zero (see ``MatrixKind``).
     """
-    _, sign, diagonal = _KIND_FORMS[MatrixKind.coerce(kind)]
+    kind = MatrixKind.coerce(kind)
     out = base.astype(np.int32)
-    if sign < 0:
+    if kind.sign < 0:
         np.negative(out, out=out)
-    if diagonal:
+    if kind.diagonal:
         idx = np.arange(base.shape[1])
         out[:, idx, idx] = base.sum(axis=2)
     return out
@@ -243,7 +254,7 @@ def build_matrices(objs, kind) -> np.ndarray:
     """
     kind = MatrixKind.coerce(kind)
     adj = np.stack([obj.adjacency for obj in objs])
-    if _KIND_FORMS[kind][0]:
+    if kind.distance:
         return matrix_stack(_connected_distances(adj, objs[0].directed), kind)
     return matrix_stack(adj, kind)
 

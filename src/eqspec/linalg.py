@@ -60,10 +60,6 @@ class ExactMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    @classmethod
-    def zeros(cls, n: int) -> "ExactMatrix":
-        return cls([[0] * n for _ in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
@@ -473,9 +469,6 @@ class Spectrum:
         return [
             {"re": v.real, "im": v.imag, "mult": m} for v, m in self.pairs
         ]
-
-    def __iter__(self):
-        return iter(self.pairs)
 
 
 def _eigvals(a: np.ndarray, general: bool = False) -> np.ndarray:

@@ -49,13 +49,8 @@ PROBE_ORDER_BUDGET = 500  # largest random probe matrix: 500 x 500 floats
 _WALK_WINDOW = 4096  # masks searched for the next unseen orbit at a time
 _PROBE_SEGMENT = 1 << 19  # matrix entries (an eighth as many coefficients) drawn at a time
 
-OBJECTIVES = ("rho", "q", "rhoD", "qD")
-_OBJECTIVE_KINDS = {
-    "rho": MatrixKind.ADJACENCY,
-    "q": MatrixKind.SIGNLESS_LAPLACIAN,
-    "rhoD": MatrixKind.DISTANCE,
-    "qD": MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN,
-}
+# the radii the connectivity theorems optimize: rho, q, rhoD, qD
+OBJECTIVES = tuple(kind.radius_name for kind in MatrixKind if kind.sense)
 _TIE_TOL = 1e-9
 # Orbits within this much (beyond _TIE_TOL) of the best representative are
 # re-evaluated mask by mask: relabeling a graph moves a computed eigenvalue
@@ -185,10 +180,12 @@ def _objective_batch(
             return np.abs(np.linalg.eigvals(stack)).max(axis=1)
         return np.linalg.eigvalsh(stack)[:, -1]
 
-    bases = {"rho": adj, "q": adj, "rhoD": dist, "qD": dist}
     return {
-        obj: top(matrix_stack(bases[obj], _OBJECTIVE_KINDS[obj]).astype(np.float64))
-        for obj in wanted
+        kind.radius_name: top(
+            matrix_stack(dist if kind.distance else adj, kind).astype(np.float64)
+        )
+        for kind in MatrixKind
+        if kind.radius_name in wanted
     }
 
 
@@ -354,11 +351,11 @@ def theorem_scan(n: int, directed: bool) -> dict:
     rhoD and qD. Returns {k: {objective: certificate}}.
     """
     _check_budget(n, directed)
-    modes = {"rho": "max", "q": "max", "rhoD": "min", "qD": "min"}
     targets = {
-        (k, obj): (k, obj, mode)
+        (k, kind.radius_name): (k, kind.radius_name, kind.sense)
         for k in range(1, n - 1)
-        for obj, mode in modes.items()
+        for kind in MatrixKind
+        if kind.sense
     }
     out: dict[int, dict[str, ExtremalCertificate]] = {}
     for (k, obj), cert in _certificates(n, directed, targets).items():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -54,6 +54,7 @@ from .quotient import (
     stacked_spectra,
 )
 from .search import (
+    _TIE_TOL,
     _check_probe_parameters,
     _probe_chunks,
     bound_scan,
@@ -96,11 +97,6 @@ class VerificationReport:
         }
 
 
-def _require_nk(n: int, k: int) -> None:
-    if not 1 <= k <= n - 2:
-        raise InvalidParameters(f"need 1 <= k <= n-2, got n={n}, k={k}")
-
-
 # ---------------------------------------------------------------------------
 # digraph closed forms
 
@@ -109,21 +105,21 @@ def digraph_bound(n: int, k: int, kind) -> BoundResult:
     """Extremal value of the objective over strongly connected digraphs with
     the given vertex connectivity (upper for A/Q, lower for D/DQ)."""
     kind = MatrixKind.coerce(kind)
-    _require_nk(n, k)
+    members = _endpoint_members(KnkpDigraph, n, k)  # p=1, p=n-k-1; checks k first
     K = MatrixKind
     if kind is K.ADJACENCY:
         value = (n - 2 + math.sqrt((n - 2) ** 2 + 4 * k)) / 2
-        return BoundResult(value, _endpoint_members(KnkpDigraph, n, k), "max")
-    if kind is K.SIGNLESS_LAPLACIAN:
+    elif kind is K.SIGNLESS_LAPLACIAN:
         value = (2 * n + k - 3 + math.sqrt((2 * n - k - 3) ** 2 + 4 * k)) / 2
-        return BoundResult(value, (KnkpDigraph(n, k, n - k - 1),), "max")
-    if kind is K.DISTANCE:
+        members = members[-1:]
+    elif kind is K.DISTANCE:
         value = (n - 2 + math.sqrt((n + 2) ** 2 - 4 * k - 8)) / 2
-        return BoundResult(value, _endpoint_members(KnkpDigraph, n, k), "min")
-    if kind is K.DISTANCE_SIGNLESS_LAPLACIAN:
+    elif kind is K.DISTANCE_SIGNLESS_LAPLACIAN:
         value = (3 * n - 3 + math.sqrt((n + 3) ** 2 - 8 * k - 16)) / 2
-        return BoundResult(value, (KnkpDigraph(n, k, 1),), "min")
-    raise InvalidParameters(f"no digraph bound for kind {kind.value}")
+        members = members[:1]
+    else:
+        raise InvalidParameters(f"no digraph bound for kind {kind.value}")
+    return BoundResult(value, members, kind.sense)
 
 
 def digraph_quotient_eigs(n: int, k: int, p: int, kind) -> Spectrum:
@@ -203,16 +199,14 @@ def graph_bound(n: int, k: int, kind) -> BoundResult:
     vertex connectivity, attained by the p=1 family member (and its mirror
     p=n-k-1, which is isomorphic to it)."""
     kind = MatrixKind.coerce(kind)
-    _require_nk(n, k)
-    K = MatrixKind
-    if kind is K.SIGNLESS_LAPLACIAN:
+    members = _endpoint_members(KnkpGraph, n, k)
+    if kind is MatrixKind.SIGNLESS_LAPLACIAN:
         value = (2 * n + k - 4 + math.sqrt((2 * n - k - 4) ** 2 + 8 * k)) / 2
     elif kind in _GRAPH_BOUND_CUBICS:
         value = largest_real_root(_GRAPH_BOUND_CUBICS[kind](n, k))
     else:
         raise InvalidParameters(f"no graph bound for kind {kind.value}")
-    sense = "max" if kind in (K.ADJACENCY, K.SIGNLESS_LAPLACIAN) else "min"
-    return BoundResult(value, _endpoint_members(KnkpGraph, n, k), sense)
+    return BoundResult(value, members, kind.sense)
 
 
 def graph_quotient_charpolys(n: int, k: int, p: int, kind) -> Polynomial:
@@ -428,17 +422,20 @@ def _coerce(name: str, shape: type, value):
     raise InvalidParameters(f"parameter {name} must be {text}, got {value!r}")
 
 
-def _opt_set(values: dict[int, float], mode: str, tol: float = 1e-9) -> list[int]:
+def _opt_set(values: dict[int, float], mode: str) -> list[int]:
+    """The keys whose value is within the scans' tie window of the optimum."""
     target = max(values.values()) if mode == "max" else min(values.values())
-    return sorted(p for p, v in values.items() if abs(v - target) <= tol)
+    return sorted(p for p, v in values.items() if abs(v - target) <= _TIE_TOL)
 
 
+# the sub-claims of the connectivity theorems, and of the Laplacian spectra
 _SUBCLAIMS = {
-    "i": (MatrixKind.ADJACENCY, "max"),
-    "ii": (MatrixKind.SIGNLESS_LAPLACIAN, "max"),
-    "iii": (MatrixKind.DISTANCE, "min"),
-    "iv": (MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN, "min"),
+    "i": MatrixKind.ADJACENCY,
+    "ii": MatrixKind.SIGNLESS_LAPLACIAN,
+    "iii": MatrixKind.DISTANCE,
+    "iv": MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN,
 }
+_LAPLACIAN_SUBCLAIMS = {"i": MatrixKind.LAPLACIAN, "ii": MatrixKind.DISTANCE_LAPLACIAN}
 
 
 def _digraph_member(n, k, p, kind, fam, b_poly, full):
@@ -494,9 +491,8 @@ _CONNECTIVITY_THEOREMS = (
 )
 
 
-def _handle_connectivity_theorem(theorem, sub: str, params: dict) -> VerificationReport:
+def _handle_connectivity_theorem(theorem, kind: MatrixKind, params: dict):
     n, k = params["n"], params["k"]
-    kind, mode = _SUBCLAIMS[sub]
     bound = theorem.bound(n, k, kind)
     ps = range(1, n - k)
     fams = [theorem.family(n, k, p) for p in ps]
@@ -524,44 +520,31 @@ def _handle_connectivity_theorem(theorem, sub: str, params: dict) -> Verificatio
             abs(values[p] - float(np.max(np.abs(m_vals)))),
         )
     claimed = sorted({member.p for member in bound.extremal_members})
-    observed = _opt_set(values, mode)
+    observed = _opt_set(values, kind.sense)
     dev = max(dev, abs(values[claimed[0]] - bound.value))
     passed = observed == claimed and identities_ok and dev <= _NUMERIC_TOL
-    return VerificationReport(
-        claim_id=f"{theorem.claim}.{sub}",
-        params=params,
-        passed=passed,
-        max_deviation=dev,
-        details={
-            "kind": kind.value,
-            "bound": bound.value,
-            "sense": bound.sense,
-            "values_by_p": {str(p): v for p, v in values.items()},
-            "claimed_extremal_p": claimed,
-            "observed_extremal_p": observed,
-            "polynomial_identities": identities_ok,
-        },
-    )
+    return passed, dev, {
+        "kind": kind.value,
+        "bound": bound.value,
+        "sense": bound.sense,
+        "values_by_p": {str(p): v for p, v in values.items()},
+        "claimed_extremal_p": claimed,
+        "observed_extremal_p": observed,
+        "polynomial_identities": identities_ok,
+    }
 
 
-def _handle_laplacian_spectra(claim_id, family, spectra, sub, params) -> VerificationReport:
+def _handle_laplacian_spectra(family, spectra, kind: MatrixKind, params: dict):
     n, k, p = params["n"], params["k"], params["p"]
-    kind = MatrixKind.LAPLACIAN if sub == "i" else MatrixKind.DISTANCE_LAPLACIAN
     fam = family(n, k, p)
     closed = spectra(n, k, p, kind)
     numeric = eigenvalues(build_matrix(build(fam), kind).to_numpy())
     dev = closed.deviation(numeric)
-    return VerificationReport(
-        claim_id=claim_id,
-        params=params,
-        passed=dev <= _NUMERIC_TOL,
-        max_deviation=dev,
-        details={
-            "kind": kind.value,
-            "closed_spectrum": closed.to_json(),
-            "numeric_spectrum": numeric.to_json(),
-        },
-    )
+    return dev <= _NUMERIC_TOL, dev, {
+        "kind": kind.value,
+        "closed_spectrum": closed.to_json(),
+        "numeric_spectrum": numeric.to_json(),
+    }
 
 
 _PETERSEN_QUOTIENTS = {
@@ -583,7 +566,7 @@ _PETERSEN_RADII = {
 }
 
 
-def _handle_petersen(params: dict) -> VerificationReport:
+def _handle_petersen(params: dict):
     graph = build(Petersen())
     part = Partition.from_sizes((5, 5))
     dev = 0.0
@@ -599,36 +582,18 @@ def _handle_petersen(params: dict) -> VerificationReport:
     rho_bl = spectral_radius(quotients[MatrixKind.LAPLACIAN].to_numpy())
     negative_ok = abs(rho_bl - 2.0) <= _NUMERIC_TOL and abs(radii["L"] - 5.0) <= _NUMERIC_TOL
     passed = quotients_exact and negative_ok and dev <= _NUMERIC_TOL
-    return VerificationReport(
-        claim_id="ex3.3",
-        params=params,
-        passed=passed,
-        max_deviation=dev,
-        details={
-            "radii": radii,
-            "quotients_exact": quotients_exact,
-            "laplacian_quotient_radius": rho_bl,
-        },
-        note=(
-            "the Laplacian is the documented negative case: its quotient radius 2 "
-            "differs from the full Laplacian radius 5"
-        ),
-    )
+    return passed, dev, {
+        "radii": radii,
+        "quotients_exact": quotients_exact,
+        "laplacian_quotient_radius": rho_bl,
+    }
 
 
-_ITEM_KINDS = {
-    "1": MatrixKind.ADJACENCY,
-    "2": MatrixKind.LAPLACIAN,
-    "3": MatrixKind.SIGNLESS_LAPLACIAN,
-    "4": MatrixKind.DISTANCE,
-    "5": MatrixKind.DISTANCE_LAPLACIAN,
-    "6": MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN,
-}
-
+# item -> note; the items number the kinds from 1 in MatrixKind order
 _CLIQUESTAR_NOTES = {
-    "2": "printed factorization omits the product over cliques; the product form is implemented",
-    "3": "printed bracket starts with a bare x; the rederived quotient gives (x - n + 1)",
-    "5": "printed factorization omits the product over cliques; the product form is implemented",
+    2: "printed factorization omits the product over cliques; the product form is implemented",
+    3: "printed bracket starts with a bare x; the rederived quotient gives (x - n + 1)",
+    5: "printed factorization omits the product over cliques; the product form is implemented",
 }
 
 
@@ -645,29 +610,22 @@ _FACTORED_CHARPOLYS = {
 }
 
 
-def _handle_factored_charpoly(claim: str, item: str, params: dict) -> VerificationReport:
-    kind = _ITEM_KINDS[item]
+def _handle_factored_charpoly(claim: str, kind: MatrixKind, params: dict):
     name, family, factored_charpoly, display_charpoly, _, _ = _FACTORED_CHARPOLYS[claim]
     values = params[name]
     factored = factored_charpoly(values, kind)
     display = display_charpoly(values, kind)
     direct = char_poly(build_matrix(build(family(values)), kind))
     exact = factored == direct and display == direct
-    return VerificationReport(
-        claim_id=f"{claim}.{item}",
-        params=params,
-        passed=exact,
-        max_deviation=0.0 if exact else math.inf,
-        details={
-            "kind": kind.value,
-            "factored_equals_direct": factored == direct,
-            "display_equals_direct": display == direct,
-            "coefficients": direct.coefficient_strings(),
-        },
-    )
+    return exact, 0.0 if exact else math.inf, {
+        "kind": kind.value,
+        "factored_equals_direct": factored == direct,
+        "display_equals_direct": display == direct,
+        "coefficients": direct.coefficient_strings(),
+    }
 
 
-def _handle_corollary_bounds(claim_id: str, params: dict) -> VerificationReport:
+def _handle_corollary_bounds(claim_id: str, params: dict):
     n = params["n"]
     certificates = bound_scan(n)
     if claim_id == "cor2.5":
@@ -699,17 +657,10 @@ def _handle_corollary_bounds(claim_id: str, params: dict) -> VerificationReport:
             "examined": cert.examined,
         }
     passed = sets_exact and dev <= _NUMERIC_TOL
-    return VerificationReport(
-        claim_id=claim_id,
-        params=params,
-        passed=passed,
-        max_deviation=dev,
-        details={"checks": detail, "equality_sets_exact": sets_exact},
-        note="verified by full enumeration at this n only",
-    )
+    return passed, dev, {"checks": detail, "equality_sets_exact": sets_exact}
 
 
-def _handle_block_spectrum_random(params: dict) -> VerificationReport:
+def _handle_block_spectrum_random(params: dict):
     trials, seed = params["trials"], params["seed"]
     n_range, t_range = (1, params["n_max"]), (1, params["t_max"])
     _check_probe_parameters(trials, n_range, t_range)
@@ -719,29 +670,25 @@ def _handle_block_spectrum_random(params: dict) -> VerificationReport:
         for (sizes, coeffs), m_vals, b_vals in zip(_segment_trials(segment), m_values, b_values):
             lifted = _lifted_spectrum(sizes, coeffs[len(sizes) : 2 * len(sizes)], b_vals)
             dev = max(dev, lifted.deviation(Spectrum.from_values(m_vals, cluster_tol=0.0)))
-    return VerificationReport(
-        claim_id="lem3.4.random",
-        params=params,
-        passed=dev <= _NUMERIC_TOL,
-        max_deviation=dev,
-        details={},
-    )
+    return dev <= _NUMERIC_TOL, dev, {}
 
 
 @dataclass(frozen=True)
 class ClaimEntry:
-    """A catalogued claim: its handler and the parameters it takes.
+    """A catalogued claim: its handler, the parameters it takes and its note.
 
-    ``params`` lists each parameter as (name, shape, default): shape
-    ``int``, or ``tuple`` for a tuple of ints (``2:3`` on the command line);
-    the default ``_REQUIRED`` marks one the claim needs. ``order`` maps the
-    coerced parameters to the order of the matrices the claim builds, which
-    ``verify_claim`` holds to ``CLAIM_ORDER_BUDGET``; a claim without one
-    bounds its work itself.
+    The handler maps the coerced parameters to (passed, max_deviation,
+    details); ``verify_claim`` adds the claim id, the parameters and the
+    note to make the report. ``params`` lists each parameter as (name,
+    shape, default): shape ``int``, or ``tuple`` for a tuple of ints (``2:3``
+    on the command line); the default ``_REQUIRED`` marks one the claim
+    needs. ``order`` maps the coerced parameters to the order of the
+    matrices the claim builds, which ``verify_claim`` holds to
+    ``CLAIM_ORDER_BUDGET``; a claim without one bounds its work itself.
     """
 
     description: str
-    handler: Callable[[dict], VerificationReport]
+    handler: Callable[[dict], tuple[bool, float, dict]]
     params: tuple[tuple[str, type, object], ...] = ()
     order: Callable[[dict], int] | None = None
     note: str = ""
@@ -755,36 +702,39 @@ def _catalogue() -> dict[str, ClaimEntry]:
     claims: dict[str, ClaimEntry] = {}
     n_k = (("n", int, _REQUIRED), ("k", int, _REQUIRED))
     order_n = operator.itemgetter("n")
-    for sub, (kind, mode) in _SUBCLAIMS.items():
+    for sub, kind in _SUBCLAIMS.items():
         for theorem in _CONNECTIVITY_THEOREMS:
             claims[f"{theorem.claim}.{sub}"] = ClaimEntry(
-                description=theorem.description.format(mode=mode, kind=kind.value),
-                handler=partial(_handle_connectivity_theorem, theorem, sub),
+                description=theorem.description.format(mode=kind.sense, kind=kind.value),
+                handler=partial(_handle_connectivity_theorem, theorem, kind),
                 params=n_k,
                 order=order_n,
                 note=theorem.notes.get(sub, ""),
             )
-    for sub in ("i", "ii"):
-        kind = "L" if sub == "i" else "DL"
+    for sub, kind in _LAPLACIAN_SUBCLAIMS.items():
         for claim, family, spectra, word in (
             ("prop4.4", KnkpDigraph, digraph_laplacian_spectra, "digraph"),
             ("prop5.2", KnkpGraph, graph_laplacian_spectra, "graph"),
         ):
             claims[f"{claim}.{sub}"] = ClaimEntry(
-                description=f"{word} family {kind} spectrum closed form",
-                handler=partial(_handle_laplacian_spectra, f"{claim}.{sub}", family, spectra, sub),
+                description=f"{word} family {kind.value} spectrum closed form",
+                handler=partial(_handle_laplacian_spectra, family, spectra, kind),
                 params=n_k + (("p", int, _REQUIRED),),
                 order=order_n,
             )
     claims["ex3.3"] = ClaimEntry(
         description="Petersen table: six quotient matrices and six spectral radii",
         handler=_handle_petersen,
+        note=(
+            "the Laplacian is the documented negative case: its quotient radius 2 "
+            "differs from the full Laplacian radius 5"
+        ),
     )
     for claim, (name, family, _, _, family_name, notes) in _FACTORED_CHARPOLYS.items():
-        for item, kind in _ITEM_KINDS.items():
+        for item, kind in enumerate(MatrixKind, 1):
             claims[f"{claim}.{item}"] = ClaimEntry(
                 description=f"{family_name} factored char poly, kind {kind.value}",
-                handler=partial(_handle_factored_charpoly, claim, item),
+                handler=partial(_handle_factored_charpoly, claim, kind),
                 params=((name, tuple, _REQUIRED),),
                 order=partial(_member_order, family, name),
                 note=notes.get(item, ""),
@@ -794,6 +744,7 @@ def _catalogue() -> dict[str, ClaimEntry]:
             description=f"{extremes} extremes of all four objectives, full enumeration",
             handler=partial(_handle_corollary_bounds, claim),
             params=(("n", int, _REQUIRED),),
+            note="verified by full enumeration at this n only",
         )
     claims["lem3.4.random"] = ClaimEntry(
         description="randomized block-spectrum identity over structured matrices",
@@ -845,7 +796,5 @@ def verify_claim(claim_id: str, params: dict | None = None) -> VerificationRepor
         raise BudgetExceeded(
             f"claim matrices are capped at order {CLAIM_ORDER_BUDGET}, got {order}"
         )
-    report = entry.handler(coerced)
-    if entry.note and not report.note:
-        report = replace(report, note=entry.note)
-    return report
+    passed, deviation, details = entry.handler(coerced)
+    return VerificationReport(claim_id, coerced, passed, deviation, details, entry.note)

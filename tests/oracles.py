@@ -616,7 +616,7 @@ def connectivity_theorem_report(theorem: str, sub: str, n: int, k: int):
     characteristic polynomial recomputed by ``berkowitz_char_poly``
     wherever it is compared, the lifted one as
     ``Polynomial.linear(p_i) ** (n_i - 1)`` products."""
-    kind, mode = theorems._SUBCLAIMS[sub]
+    kind = theorems._SUBCLAIMS[sub]
     graph = theorem == "thm5.2"
     family = KnkpGraph if graph else KnkpDigraph
     bound = (theorems.graph_bound if graph else theorems.digraph_bound)(n, k, kind)
@@ -656,7 +656,7 @@ def connectivity_theorem_report(theorem: str, sub: str, n: int, k: int):
             abs(values[p] - spectral_radius(matrix)),
         )
     claimed = sorted({member.p for member in bound.extremal_members})
-    observed = theorems._opt_set(values, mode)
+    observed = theorems._opt_set(values, kind.sense)
     dev = max(dev, abs(values[claimed[0]] - bound.value))
     claim = f"{theorem}.{sub}"
     return theorems.VerificationReport(

@@ -25,6 +25,7 @@ from eqspec.graphs import (
     CUT_BUDGET,
     Digraph,
     Graph,
+    MatrixKind,
     build_matrices,
     build_matrix,
     distance_matrix,
@@ -38,7 +39,8 @@ from eqspec.graphs import (
 )
 from eqspec.linalg import ExactMatrix, spectral_radius
 from eqspec.quotient import realize_block_matrix
-from eqspec.search import is_isomorphic
+from eqspec.search import OBJECTIVES, is_isomorphic
+from eqspec.theorems import CLAIMS
 
 from oracles import (
     connected_union_find,
@@ -123,6 +125,22 @@ def test_distance_matrix_symmetry():
     assert np.array_equal(d, d.T)
     d = distance_matrix(build(KnkpDigraph(6, 2, 1))).to_numpy()
     assert not np.array_equal(d, d.T)
+
+
+def test_kind_table():
+    """The wire names in order, each kind's radius name and the sense the
+    connectivity theorems optimize it in; the scan objectives and the
+    ex3.5/ex3.6 item numbers follow that order."""
+    wires = ["A", "L", "Q", "D", "DL", "DQ"]
+    assert [kind.value for kind in MatrixKind] == wires
+    assert [kind.radius_name for kind in MatrixKind] == ["rho", "mu", "q", "rhoD", "muD", "qD"]
+    assert [kind.sense for kind in MatrixKind] == ["max", None, "max", "min", None, "min"]
+    assert MatrixKind("A") is MatrixKind.ADJACENCY
+    assert MatrixKind.coerce("dq") is MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN
+    assert OBJECTIVES == ("rho", "q", "rhoD", "qD")
+    for claim in ("ex3.5", "ex3.6"):
+        for item, wire in enumerate(wires, 1):
+            assert CLAIMS[f"{claim}.{item}"].description.endswith(f"kind {wire}")
 
 
 def _kind_by_entry(obj, kind):
@@ -246,7 +264,7 @@ def test_petersen_signless_laplacian():
 def test_single_vertex_all_kinds_zero():
     g = Graph(1)
     for kind in ("A", "L", "Q", "D", "DL", "DQ"):
-        assert build_matrix(g, kind) == ExactMatrix.zeros(1)
+        assert build_matrix(g, kind) == ExactMatrix([[0]])
 
 
 def test_knkp_digraph_distance_signless_block_display():

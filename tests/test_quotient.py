@@ -156,7 +156,7 @@ def test_discrete_partition_quotient_is_identity_transform():
 
 def test_quotient_matrix_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        quotient_matrix(ExactMatrix.zeros(3), Partition.from_sizes((2, 2)))
+        quotient_matrix(ExactMatrix([[0] * 3] * 3), Partition.from_sizes((2, 2)))
     # the ground set is checked before equitability
     with pytest.raises(DimensionMismatch):
         lift_check(-np.ones((3, 3)), Partition.from_sizes((2, 2)))

@@ -260,6 +260,36 @@ def test_claim_ids_catalogue_complete():
         assert expected in ids
 
 
+# per claim-id prefix: the smallest parameters the claim admits, as given
+# and as the report lists them (coerced, in schema order, defaults filled in)
+_SMALLEST_PARAMS = (
+    ("thm", {"n": "3", "k": 1}, {"n": 3, "k": 1}),
+    ("prop", {"p": 1, "k": 1, "n": 3}, {"n": 3, "k": 1, "p": 1}),
+    ("ex3.3", {}, {}),
+    ("ex3.5.", {"parts": [2, 3]}, {"parts": (2, 3)}),
+    ("ex3.6.", {"sizes": (2, "3")}, {"sizes": (2, 3)}),
+    ("cor", {"n": 2}, {"n": 2}),
+    ("lem3.4.random", {"trials": 20}, {"trials": 20, "seed": 0, "t_max": 4, "n_max": 20}),
+)
+
+
+@pytest.mark.parametrize("claim_id", claim_ids())
+def test_every_claim_report_has_one_envelope(claim_id):
+    given, coerced = next(
+        (given, coerced)
+        for prefix, given, coerced in _SMALLEST_PARAMS
+        if claim_id.startswith(prefix)
+    )
+    report = verify_claim(claim_id, given)
+    assert report.passed
+    assert report.claim_id == claim_id
+    assert report.note == theorems.CLAIMS[claim_id].note
+    assert list(report.params.items()) == list(coerced.items())
+    payload = report.to_json()
+    assert list(payload) == ["claim", "params", "passed", "max_deviation", "details", "note"]
+    assert payload["claim"] == claim_id and payload["params"] == coerced
+
+
 def test_unknown_claim_raises():
     with pytest.raises(UnknownClaim):
         verify_claim("thm9.9.x", {})
