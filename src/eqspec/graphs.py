@@ -4,15 +4,17 @@ Vertices are 0-indexed everywhere. A Graph or Digraph is stored as its
 dense, read-only n x n 0/1 adjacency matrix of uint8 (n**2 bytes), the
 A(G) every other matrix derives from. Every question about a (di)graph's
 structure is answered on a (b, n, n) adjacency stack, by one of two
-kernels that batch over the stack: ``distances`` (shortest path lengths
-and reachability, hence connectivity and strong connectivity) and
-``vertex_connectivities`` (a batched vertex-cut search). A single graph is
-a stack of one. All six matrices (adjacency, Laplacian, signless
-Laplacian, distance, distance Laplacian, distance signless Laplacian) come
-from one stacked builder, ``build_matrices``, with exact integer entries;
-the distance kinds require a connected graph / strongly connected digraph
-and fail hard otherwise. ``MatrixKind`` is the one table of what sets the
-six kinds apart: base, sign, diagonal, radius name and extremal sense.
+kernels that batch over the stack: ``distances`` (shortest path lengths,
+level by level) and ``_cut_reach`` (reachability once a vertex cut is
+gone, by repeated squaring). Connectivity and strong connectivity are the
+empty cut's reachability; ``vertex_connectivities`` searches the larger
+cuts. A single graph is a stack of one. All six matrices (adjacency,
+Laplacian, signless Laplacian, distance, distance Laplacian, distance
+signless Laplacian) come from one stacked builder, ``build_matrices``,
+with exact integer entries; the distance kinds require a connected graph /
+strongly connected digraph and fail hard otherwise. ``MatrixKind`` is the
+one table of what sets the six kinds apart: base, sign, diagonal, radius
+name and extremal sense.
 """
 
 from __future__ import annotations
@@ -207,10 +209,25 @@ def distances(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dist, reach
 
 
+def _connected(adj: np.ndarray) -> np.ndarray:
+    """Whether each (di)graph of a (b, n, n) adjacency stack is connected
+    (strongly, for a digraph): reachability with the empty cut removed
+    (see ``_cut_reach``), without distances."""
+    _, reach = next(_cut_reach(adj, 0))
+    return reach.all(axis=(1, 2, 3))
+
+
+def _require_connected(connected: bool, directed: bool) -> None:
+    if not connected:
+        if directed:
+            raise DisconnectedInput("digraph is not strongly connected")
+        raise DisconnectedInput("graph is not connected")
+
+
 def is_connected(obj) -> bool:
     """Whether every vertex reaches every vertex: connectivity of a graph,
     strong connectivity of a digraph."""
-    return bool(distances(obj.adjacency[None])[1].all())
+    return bool(_connected(obj.adjacency[None])[0])
 
 
 is_strongly_connected = is_connected
@@ -220,10 +237,7 @@ def _connected_distances(adj: np.ndarray, directed: bool) -> np.ndarray:
     """The distances of every (di)graph of the stack; DisconnectedInput
     when one of them is not (strongly) connected."""
     dist, reach = distances(adj)
-    if not reach.all():
-        if directed:
-            raise DisconnectedInput("digraph is not strongly connected")
-        raise DisconnectedInput("graph is not connected")
+    _require_connected(reach.all(), directed)
     return dist
 
 
@@ -353,8 +367,9 @@ def vertex_connectivity(obj) -> int:
     Complete inputs have no cut and return n - 1 by convention.
     """
     adj = obj.adjacency[None]
-    _connected_distances(adj, obj.directed)
-    return int(vertex_connectivities(adj, np.ones(1, dtype=bool))[0])
+    connected = _connected(adj)
+    _require_connected(connected[0], obj.directed)
+    return int(vertex_connectivities(adj, connected)[0])
 
 
 def join(a, b):

@@ -3,10 +3,12 @@
 A scan walks the S_n orbits of the labeled adjacency bitmasks, not every
 bitmask: each orbit is found once, through a table of how each vertex
 permutation moves the bits, and its smallest mask stands for it. The
-per-graph work is vectorized over the representatives: connectivity,
-distances and vertex connectivity come from the kernels of ``graphs`` and
-the objectives' matrices from its stacked builder, so this module has no
-graph routine of its own. Each orbit counts with its size.
+per-graph work is vectorized over the representatives and uses the kernels
+of ``graphs`` and its stacked builder, so this module has no graph routine
+of its own. Every orbit gets connectivity, from reachability alone; vertex
+connectivity only when a target names a class; distances and eigensolves
+only on the orbits of the targets' classes, and distances only when an
+objective is a distance kind. Each orbit counts with its size.
 The orbits near an optimum are then expanded back to their labeled masks
 and evaluated again, so certificates report the same value, optimizer masks
 and counts as a scan over every labeled mask. Isomorphism testing is applied
@@ -36,6 +38,7 @@ from .families import (
 )
 from .graphs import (
     MatrixKind,
+    _connected,
     _from_adjacency,
     distances,
     matrix_stack,
@@ -172,20 +175,22 @@ def _adjacency_batch(masks: np.ndarray, n: int, pairs, directed: bool) -> np.nda
     return adj
 
 
-def _objective_batch(
-    adj: np.ndarray, dist: np.ndarray, directed: bool, wanted
-) -> dict[str, np.ndarray]:
+def _objective_batch(adj: np.ndarray, directed: bool, wanted) -> dict[str, np.ndarray]:
+    """The wanted radii of every (strongly) connected (di)graph of the
+    stack; distances are built only when a wanted kind is a distance kind."""
+
     def top(stack):
         if directed:
             return np.abs(np.linalg.eigvals(stack)).max(axis=1)
         return np.linalg.eigvalsh(stack)[:, -1]
 
+    kinds = [kind for kind in MatrixKind if kind.radius_name in wanted]
+    dist = distances(adj)[0] if any(kind.distance for kind in kinds) else None
     return {
         kind.radius_name: top(
             matrix_stack(dist if kind.distance else adj, kind).astype(np.float64)
         )
-        for kind in MatrixKind
-        if kind.radius_name in wanted
+        for kind in kinds
     }
 
 
@@ -281,27 +286,31 @@ def _certificates(n: int, directed: bool, targets) -> dict:
     """One scan for every target, key -> (k or None, objective, mode), as
     {key: certificate}; a target whose class is empty is left out.
 
-    Connectivity, vertex connectivity and the objectives are computed once
-    per orbit; a class counts each orbit with its size. The orbits near each
-    optimum are expanded to their labeled masks, whose own values decide
-    the optimum and its optimizers. The classification references are
-    built once per class.
+    Connectivity is decided once per orbit from reachability, and vertex
+    connectivity once per connected orbit when some target names a k. The
+    objectives are then solved only on the orbits in some target's class,
+    with distances built for those orbits only when a wanted objective is a
+    distance kind; a class counts each orbit with its size. The orbits near
+    each optimum are expanded to their labeled masks, whose own values
+    (distances again only for a distance objective) decide the optimum and
+    its optimizers. The classification references are built once per class.
     """
     _check_budget(n, directed)
     pairs = pair_table(n, directed)
     reps, sizes = _orbits(n, directed)
-    need_kappa = any(k is not None for k, _, _ in targets.values())
-    need_objectives = tuple(sorted({obj for _, obj, _ in targets.values()}))
     adj = _adjacency_batch(reps, n, pairs, directed)
-    dist, reachable = distances(adj)
-    connected = reachable.all(axis=(1, 2))
-    kappa = vertex_connectivities(adj, connected) if need_kappa else None
-    values = _objective_batch(adj, dist, directed, need_objectives)
+    connected = _connected(adj)
+    wanted_k = {k for k, _, _ in targets.values()}
+    kappa = vertex_connectivities(adj, connected) if wanted_k - {None} else None
+    classes = {k: connected if k is None else kappa == k for k in wanted_k}
+    scored = np.logical_or.reduce(list(classes.values()))
+    reps, sizes, adj = reps[scored], sizes[scored], adj[scored]
+    values = _objective_batch(adj, directed, {obj for _, obj, _ in targets.values()})
     reach = _TIE_TOL + _ORBIT_SLACK
     refs_by_k = {}
     out = {}
     for key, (k, objective, mode) in targets.items():
-        in_class = connected if k is None else kappa == k
+        in_class = classes[k][scored]
         if not in_class.any():
             continue
         vals = values[objective]
@@ -311,8 +320,7 @@ def _certificates(n: int, directed: bool, targets) -> dict:
             near = in_class & (vals <= vals[in_class].min() + reach)
         masks = _expand(n, directed, reps[near])
         labeled = _adjacency_batch(masks, n, pairs, directed)
-        labeled_dist, _ = distances(labeled)
-        labeled_values = _objective_batch(labeled, labeled_dist, directed, (objective,))
+        labeled_values = _objective_batch(labeled, directed, (objective,))
         value, optimizers = _optimum(masks, labeled_values[objective], mode)
         if k not in refs_by_k:
             refs_by_k[k] = _classification_targets(n, k, directed)

@@ -90,6 +90,23 @@ def test_is_strongly_connected_basic():
     assert is_strongly_connected(build(BidirectedComplete(3)))
 
 
+def test_connectivity_reads_reach_without_distances(monkeypatch):
+    from eqspec import graphs
+
+    def no_distances(adj):
+        raise AssertionError("connectivity built distances")
+
+    monkeypatch.setattr(graphs, "distances", no_distances)
+    assert is_connected(build(Petersen()))
+    assert not is_strongly_connected(Digraph(3, [(0, 1), (1, 2)]))
+    assert vertex_connectivity(build(Petersen())) == 3
+    assert vertex_connectivity(build(DirectedCycle(5))) == 1
+    with pytest.raises(DisconnectedInput, match="^graph is not connected$"):
+        vertex_connectivity(Graph(3, [(0, 1)]))
+    with pytest.raises(DisconnectedInput, match="^digraph is not strongly connected$"):
+        vertex_connectivity(Digraph(3, [(0, 1), (1, 2)]))
+
+
 def test_connectivity_against_oracles():
     rng = random.Random(21)
     for _ in range(200):

@@ -37,7 +37,9 @@ from eqspec.graphs import (
     Graph,
     _cut_reach,
     build_matrix,
+    distances,
     is_strongly_connected,
+    vertex_connectivities,
     vertex_connectivity,
 )
 from eqspec.linalg import spectral_radius
@@ -48,6 +50,7 @@ from eqspec.search import (
     ScanJob,
     _orbits,
     _probe_chunks,
+    bound_scan,
     conjecture_search,
     extremal_scan,
     graph_from_mask,
@@ -71,7 +74,7 @@ def test_enumerate_budget():
 def test_batched_kappa_matches_per_graph_computation():
     import numpy as np
 
-    from eqspec.graphs import distances, vertex_connectivities
+    from eqspec.graphs import _connected, vertex_connectivities
     from eqspec.search import _adjacency_batch
 
     rng = random.Random(44)
@@ -82,7 +85,7 @@ def test_batched_kappa_matches_per_graph_computation():
             sorted(rng.sample(range(1 << len(pairs)), 300)), dtype=np.int64
         )
         adj = _adjacency_batch(masks, n, pairs, directed)
-        connected = distances(adj)[1].all(axis=(1, 2))
+        connected = _connected(adj)
         kappa = vertex_connectivities(adj, connected)
         for mask, conn, kap in zip(masks, connected, kappa):
             obj = graph_from_mask(n, int(mask), directed)
@@ -148,6 +151,65 @@ def test_orbit_scan_matches_labeled_brute_force(n, directed):
                 assert cert.optimizers == optimizers
                 assert cert.examined == examined
                 assert cert.value == pytest.approx(value, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, directed", [(n, False) for n in range(3, 7)] + [(n, True) for n in range(3, 6)]
+)
+def test_theorem_scan_matches_single_target_scans(n, directed):
+    certificates = theorem_scan(n, directed)
+    assert sorted(certificates) == list(range(1, n - 1))
+    for k, by_objective in certificates.items():
+        assert sorted(by_objective) == sorted(OBJECTIVES)
+        for objective, cert in by_objective.items():
+            single = extremal_scan(ScanJob(n, k, directed, objective, cert.mode))
+            assert cert.to_json() == single.to_json()
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_bound_scan_matches_single_target_scans(n):
+    certificates = bound_scan(n)
+    assert sorted(certificates) == sorted(
+        (objective, mode) for objective in OBJECTIVES for mode in ("max", "min")
+    )
+    for (objective, mode), cert in certificates.items():
+        single = extremal_scan(ScanJob(n, None, True, objective, mode))
+        assert cert.to_json() == single.to_json()
+
+
+def _record_first_arguments(monkeypatch, name):
+    """Wrap search.<name> so each call's first argument is kept."""
+    calls = []
+    real = getattr(search, name)
+
+    def spy(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(search, name, spy)
+    return calls
+
+
+def test_scan_solves_and_measures_only_the_orbits_of_its_class(monkeypatch):
+    n, directed = 5, True
+    reps, _ = _orbits(n, directed)
+    adj = search._adjacency_batch(reps, n, pair_table(n, directed), directed)
+    kappa = vertex_connectivities(adj, distances(adj)[1].all(axis=(1, 2)))
+    in_class = adj[kappa == 2]
+    assert len(in_class) == 578
+
+    solved = _record_first_arguments(monkeypatch, "_objective_batch")
+    measured = _record_first_arguments(monkeypatch, "distances")
+    extremal_scan(ScanJob(n, 2, directed, "rho", "max"))
+    assert np.array_equal(solved[0], in_class)
+    assert measured == []
+
+    solved.clear()
+    extremal_scan(ScanJob(n, 2, directed, "rhoD", "min"))
+    assert np.array_equal(solved[0], in_class)
+    assert np.array_equal(measured[0], in_class)
+    for stack in measured:
+        assert (vertex_connectivities(stack, np.ones(len(stack), dtype=bool)) == 2).all()
 
 
 # ---------------------------------------------------------------------------
