@@ -302,7 +302,7 @@ def _cut_reach(adj: np.ndarray, size: int):
     b, n, _ = adj.shape
     m = n - size
     idx = np.arange(m)
-    per_batch = max(1, _ENTRY_WINDOW // (b * m * m))
+    per_batch = max(1, _ENTRY_WINDOW // max(1, b * m * m))
     cuts = combinations(range(n), size)
     while chunk := list(islice(cuts, per_batch)):
         kept = np.ones((len(chunk), n), dtype=bool)
@@ -331,9 +331,9 @@ def vertex_connectivities(adj: np.ndarray, connected: np.ndarray) -> np.ndarray:
     a batch that brings the count to it with some graph still unbroken
     raises BudgetExceeded.
     """
-    b, n, _ = adj.shape
+    n = adj.shape[1]
     kappa = np.where(connected, n - 1, -1)
-    alive = connected & (adj.reshape(b, -1).sum(axis=1) < n * (n - 1))
+    alive = connected & (adj.sum(axis=(1, 2)) < n * (n - 1))
     tried = 0
     for size in range(1, n - 1):
         if not alive.any():

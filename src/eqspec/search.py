@@ -9,10 +9,10 @@ of its own. Every orbit gets connectivity, from reachability alone; vertex
 connectivity only when a target names a class; distances and eigensolves
 only on the orbits of the targets' classes, and distances only when an
 objective is a distance kind. Each orbit counts with its size.
-The orbits near an optimum are then expanded back to their labeled masks
-and evaluated again, so certificates report the same value, optimizer masks
-and counts as a scan over every labeled mask. Isomorphism testing is applied
-only to the optimizer sets, which are tiny.
+A spectral radius is an isomorphism invariant, so the optimizers are whole
+orbits, picked by their representatives' values and expanded back to their
+labeled masks; a reference family names an orbit when its smallest mask is
+the orbit's representative.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ _PROBE_SEGMENT = 1 << 19  # matrix entries (an eighth as many coefficients) draw
 # the radii the connectivity theorems optimize: rho, q, rhoD, qD
 OBJECTIVES = tuple(kind.radius_name for kind in MatrixKind if kind.sense)
 _TIE_TOL = 1e-9
-# Orbits within this much (beyond _TIE_TOL) of the best representative are
-# re-evaluated mask by mask: relabeling a graph moves a computed eigenvalue
-# by rounding only, far less than this.
-_ORBIT_SLACK = 1e-6
 
 
 def pair_table(n: int, directed: bool) -> tuple[tuple[int, int], ...]:
@@ -156,11 +152,6 @@ def _orbits(n: int, directed: bool) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _expand(n: int, directed: bool, reps: np.ndarray) -> np.ndarray:
-    """Every labeled mask of the orbits of ``reps``, in ascending order."""
-    return np.unique(_relabelings(n, directed, reps))
-
-
 # ---------------------------------------------------------------------------
 # batched pipeline
 
@@ -194,11 +185,12 @@ def _objective_batch(adj: np.ndarray, directed: bool, wanted) -> dict[str, np.nd
     }
 
 
-def _optimum(masks: np.ndarray, vals: np.ndarray, mode: str):
-    """(optimum of vals, the masks whose value is within _TIE_TOL of it)."""
+def _optimum(keys: np.ndarray, vals: np.ndarray, mode: str):
+    """(optimum of vals, the keys whose value is within _TIE_TOL of it):
+    the one tie rule of scans and claims."""
     value = float(vals.max() if mode == "max" else vals.min())
     near = vals >= value - _TIE_TOL if mode == "max" else vals <= value + _TIE_TOL
-    return value, tuple(masks[near].tolist())
+    return value, tuple(keys[near].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +249,18 @@ class ExtremalCertificate:
 
 
 def _classification_targets(n, k, directed):
-    """Reference families the optimizers are matched against."""
+    """Reference families the optimizers are matched against, as (name,
+    smallest mask of its orbit); undirected scans without a k have none."""
     if k is not None:
         specs = _endpoint_members(KnkpDigraph if directed else KnkpGraph, n, k)
-    else:
+    elif directed:
         specs = (BidirectedComplete(n), DirectedCycle(n))
-    return [(format_family(s), labeled_isomorph_masks(build(s))) for s in specs]
-
-
-def _classify(optimizers, refs) -> dict[str, str]:
-    out = {}
-    for mask in optimizers:
-        labels = [name for name, masks in refs if mask in masks]
-        out[str(mask)] = " & ".join(labels) if labels else "other"
-    return out
+    else:
+        specs = ()
+    return [
+        (format_family(s), int(_relabelings(n, directed, mask_from_graph(build(s))).min()))
+        for s in specs
+    ]
 
 
 def _scan_note(n, directed, k) -> str:
@@ -290,10 +280,12 @@ def _certificates(n: int, directed: bool, targets) -> dict:
     connectivity once per connected orbit when some target names a k. The
     objectives are then solved only on the orbits in some target's class,
     with distances built for those orbits only when a wanted objective is a
-    distance kind; a class counts each orbit with its size. The orbits near
-    each optimum are expanded to their labeled masks, whose own values
-    (distances again only for a distance objective) decide the optimum and
-    its optimizers. The classification references are built once per class.
+    distance kind; a class counts each orbit with its size. The optimizer
+    orbits are picked by their representatives (``_optimum``) and expanded
+    to their labeled masks, whose own values (distances again only for a
+    distance objective) give the optimum. An orbit is labelled with the
+    references whose smallest mask is its representative, built once per
+    class, or "other".
     """
     _check_budget(n, directed)
     pairs = pair_table(n, directed)
@@ -306,24 +298,25 @@ def _certificates(n: int, directed: bool, targets) -> dict:
     scored = np.logical_or.reduce(list(classes.values()))
     reps, sizes, adj = reps[scored], sizes[scored], adj[scored]
     values = _objective_batch(adj, directed, {obj for _, obj, _ in targets.values()})
-    reach = _TIE_TOL + _ORBIT_SLACK
     refs_by_k = {}
     out = {}
     for key, (k, objective, mode) in targets.items():
         in_class = classes[k][scored]
         if not in_class.any():
             continue
-        vals = values[objective]
-        if mode == "max":
-            near = in_class & (vals >= vals[in_class].max() - reach)
-        else:
-            near = in_class & (vals <= vals[in_class].min() + reach)
-        masks = _expand(n, directed, reps[near])
-        labeled = _adjacency_batch(masks, n, pairs, directed)
-        labeled_values = _objective_batch(labeled, directed, (objective,))
-        value, optimizers = _optimum(masks, labeled_values[objective], mode)
+        _, best = _optimum(reps[in_class], values[objective][in_class], mode)
         if k not in refs_by_k:
             refs_by_k[k] = _classification_targets(n, k, directed)
+        label = {}
+        for rep, images in zip(best, _relabelings(n, directed, best).tolist()):
+            names = [name for name, ref in refs_by_k[k] if ref == rep]
+            label.update(dict.fromkeys(images, " & ".join(names) or "other"))
+        optimizers = sorted(label)
+        masks = np.array(optimizers)
+        labeled = _adjacency_batch(masks, n, pairs, directed)
+        value, _ = _optimum(
+            masks, _objective_batch(labeled, directed, (objective,))[objective], mode
+        )
         out[key] = ExtremalCertificate(
             n=n,
             k=k,
@@ -331,8 +324,8 @@ def _certificates(n: int, directed: bool, targets) -> dict:
             objective=objective,
             mode=mode,
             value=value,
-            optimizers=optimizers,
-            classification=_classify(optimizers, refs_by_k[k]),
+            optimizers=tuple(optimizers),
+            classification={str(mask): label[mask] for mask in optimizers},
             examined=int(sizes[in_class].sum()),
             note=_scan_note(n, directed, k),
         )
@@ -398,7 +391,7 @@ def is_isomorphic(a, b) -> bool:
 
 def labeled_isomorph_masks(obj) -> frozenset:
     """Adjacency bitmasks of every relabeling of the given (di)graph (n <= 7)."""
-    return frozenset(_expand(obj.n, obj.directed, mask_from_graph(obj)).tolist())
+    return frozenset(_relabelings(obj.n, obj.directed, mask_from_graph(obj)).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,8 @@ from .quotient import (
     stacked_spectra,
 )
 from .search import (
-    _TIE_TOL,
     _check_probe_parameters,
+    _optimum,
     _probe_chunks,
     bound_scan,
     labeled_isomorph_masks,
@@ -422,12 +422,6 @@ def _coerce(name: str, shape: type, value):
     raise InvalidParameters(f"parameter {name} must be {text}, got {value!r}")
 
 
-def _opt_set(values: dict[int, float], mode: str) -> list[int]:
-    """The keys whose value is within the scans' tie window of the optimum."""
-    target = max(values.values()) if mode == "max" else min(values.values())
-    return sorted(p for p, v in values.items() if abs(v - target) <= _TIE_TOL)
-
-
 # the sub-claims of the connectivity theorems, and of the Laplacian spectra
 _SUBCLAIMS = {
     "i": MatrixKind.ADJACENCY,
@@ -520,7 +514,7 @@ def _handle_connectivity_theorem(theorem, kind: MatrixKind, params: dict):
             abs(values[p] - float(np.max(np.abs(m_vals)))),
         )
     claimed = sorted({member.p for member in bound.extremal_members})
-    observed = _opt_set(values, kind.sense)
+    observed = list(_optimum(np.array(ps), np.array(list(values.values())), kind.sense)[1])
     dev = max(dev, abs(values[claimed[0]] - bound.value))
     passed = observed == claimed and identities_ok and dev <= _NUMERIC_TOL
     return passed, dev, {

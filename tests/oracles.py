@@ -593,6 +593,13 @@ def relabeled_masks(n: int, mask: int, directed: bool) -> set[int]:
     return images
 
 
+def adjacency_mask(obj) -> int:
+    """The adjacency bitmask of a (di)graph: bit b is set when the b-th
+    vertex pair of ``_mask_pairs`` is an arc (an edge, for a graph)."""
+    arcs = obj.arcs if obj.directed else obj.edges
+    return sum(1 << bit for bit, pair in enumerate(_mask_pairs(obj.n, obj.directed)) if pair in arcs)
+
+
 def contains_within_tol(pool, targets, tol) -> bool:
     """Multiset inclusion of targets in pool: each target, in order, takes
     the first strictly nearest unused pool value closer than tol, and the
@@ -656,7 +663,9 @@ def connectivity_theorem_report(theorem: str, sub: str, n: int, k: int):
             abs(values[p] - spectral_radius(matrix)),
         )
     claimed = sorted({member.p for member in bound.extremal_members})
-    observed = theorems._opt_set(values, kind.sense)
+    pick = max if kind.sense == "max" else min
+    best = pick(values.values())
+    observed = [p for p, value in values.items() if abs(value - best) <= 1e-9]
     dev = max(dev, abs(values[claimed[0]] - bound.value))
     claim = f"{theorem}.{sub}"
     return theorems.VerificationReport(

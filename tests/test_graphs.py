@@ -107,6 +107,18 @@ def test_connectivity_reads_reach_without_distances(monkeypatch):
         vertex_connectivity(Digraph(3, [(0, 1), (1, 2)]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_graph_kernels_on_empty_stacks(n):
+    from eqspec.graphs import _connected, distances, vertex_connectivities
+
+    adj = np.zeros((0, n, n), dtype=np.uint8)
+    connected = _connected(adj)
+    assert connected.shape == (0,) and connected.dtype == bool
+    assert vertex_connectivities(adj, connected).shape == (0,)
+    dist, reach = distances(adj)
+    assert dist.shape == reach.shape == (0, n, n)
+
+
 def test_connectivity_against_oracles():
     rng = random.Random(21)
     for _ in range(200):

@@ -10,8 +10,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 from oracles import (
+    adjacency_mask,
     conjecture_campaign,
     connected_union_find,
+    family_by_definition,
     labeled_scan,
     labeled_scan_table,
     probe_gaps,
@@ -251,6 +253,33 @@ def test_theorem_scan_small_undirected():
             cert = res[k][obj]
             labels = set(cert.classification.values())
             assert labels and all(f"knkp-g:5,{k},1" in label for label in labels)
+
+
+@pytest.mark.parametrize("n, directed", [(6, False), (7, False), (5, True)])
+def test_scan_labels_whole_orbits_at_the_enumeration_budget(n, directed):
+    family = KnkpDigraph if directed else KnkpGraph
+    name = "knkp-d" if directed else "knkp-g"
+    orbit_of = {}
+
+    def orbit(mask):
+        if mask not in orbit_of:
+            images = frozenset(relabeled_masks(n, mask, directed))
+            orbit_of.update(dict.fromkeys(images, images))
+        return orbit_of[mask]
+
+    for k, by_objective in theorem_scan(n, directed).items():
+        members = {
+            f"{name}:{n},{k},{p}": orbit(adjacency_mask(family_by_definition(family(n, k, p))))
+            for p in sorted({1, n - k - 1})
+        }
+        for cert in by_objective.values():
+            optimizers = set(cert.optimizers)
+            assert list(cert.optimizers) == sorted(optimizers)
+            assert list(cert.classification) == [str(mask) for mask in cert.optimizers]
+            for mask in cert.optimizers:
+                assert orbit(mask) <= optimizers
+                names = [member for member, masks in members.items() if mask in masks]
+                assert cert.classification[str(mask)] == (" & ".join(names) or "other")
 
 
 def test_scan_certificate_note_mentions_scope():
