@@ -72,25 +72,17 @@ def _parse_kinds(spec: str | None):
 
 
 def _parse_params(spec: str | None) -> dict:
-    """``n=6,k=2,p=1`` with colon-separated integer tuples: ``parts=2:3``."""
+    """``n=6,k=2,parts=2:3`` as names to their text; the claim's schema
+    reads each value (``theorems._coerce``)."""
     params: dict = {}
-    if not spec:
-        return params
-    for item in spec.split(","):
+    for item in (spec or "").split(","):
         item = item.strip()
         if not item:
             continue
         key, sep, value = item.partition("=")
         if not sep:
             raise EqspecError(f"bad parameter {item!r}, expected key=value")
-        key, value = key.strip(), value.strip()
-        try:
-            if ":" in value:
-                params[key] = tuple(int(x) for x in value.split(":"))
-            else:
-                params[key] = int(value)
-        except ValueError:
-            params[key] = value  # the claim's handler rejects what it cannot use
+        params[key.strip()] = value.strip()
     return params
 
 

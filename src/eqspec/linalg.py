@@ -340,6 +340,9 @@ def char_poly(m: ExactMatrix) -> Polynomial:
 
 # real parts this close are one group when a spectrum is expanded for pairing
 _RE_TIE = 1e-6
+# the numeric verdict tolerance: spectra this close are equal, and a claim's
+# max_deviation passes at most this far off
+_NUMERIC_TOL = 1e-7
 
 
 def _sort_key(v: complex):
@@ -427,7 +430,7 @@ class Spectrum:
     def max_real(self) -> float:
         return max(v.real for v, _ in self.pairs)
 
-    def isclose(self, other: "Spectrum", tol: float = 1e-7) -> bool:
+    def isclose(self, other: "Spectrum", tol: float = _NUMERIC_TOL) -> bool:
         """Multiset equality: positional pairing of both sorted expansions."""
         return self.deviation(other) < tol
 
@@ -440,7 +443,7 @@ class Spectrum:
             return 0.0
         return max(abs(x - y) for x, y in zip(a, b))
 
-    def contains(self, other: "Spectrum", tol: float = 1e-7) -> bool:
+    def contains(self, other: "Spectrum", tol: float = _NUMERIC_TOL) -> bool:
         """One-sided multiset inclusion with multiplicity accounting."""
         return self.containment_deviation(other) < tol
 
@@ -587,15 +590,17 @@ def poly_roots(p: Polynomial) -> Spectrum:
     return Spectrum.from_pairs(pairs)
 
 
-def cubic_real_roots(p: Polynomial) -> list[float]:
-    """Real roots of a cubic with real (exact) coefficients, ascending.
+def largest_real_root(p: Polynomial) -> float:
+    """Largest real root of a cubic with exact coefficients; any other
+    degree raises ValueError.
 
     Closed form (trigonometric branch for three real roots, Cardano
-    otherwise) with one Newton polish against the exact polynomial; avoids
-    branch-selection ambiguity when picking the largest root.
+    otherwise); every real root is Newton-polished against the exact
+    polynomial before the largest is taken, which avoids branch-selection
+    ambiguity.
     """
     if p.degree != 3:
-        raise ValueError("cubic expected")
+        raise ValueError(f"cubic expected, got degree {p.degree}")
     a3, a2, a1, a0 = (float(Fraction(c)) for c in reversed(p.coeffs))
     b, c, d = a2 / a3, a1 / a3, a0 / a3
     # depressed cubic t^3 + pt + q with x = t - b/3
@@ -615,20 +620,4 @@ def cubic_real_roots(p: Polynomial) -> list[float]:
         v = math.copysign(abs(-qq / 2.0 - s) ** (1.0 / 3.0), -qq / 2.0 - s)
         roots = [u + v]
     fc = p.float_coeffs()
-    out = []
-    for t in roots:
-        x = t - b / 3.0
-        x = _newton_polish(fc, complex(x, 0.0)).real
-        out.append(x)
-    return sorted(out)
-
-
-def largest_real_root(p: Polynomial) -> float:
-    """Largest real root; closed form for cubics, generic solver otherwise."""
-    if p.degree == 3:
-        return cubic_real_roots(p)[-1]
-    spec = poly_roots(p)
-    reals = [v.real for v, _ in spec.pairs if abs(v.imag) <= 1e-9 * max(1.0, abs(v))]
-    if not reals:
-        raise ValueError("polynomial has no real root")
-    return max(reals)
+    return max(_newton_polish(fc, complex(t - b / 3.0, 0.0)).real for t in roots)

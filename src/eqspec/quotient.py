@@ -28,6 +28,7 @@ from .errors import (
     ParseError,
 )
 from .linalg import (
+    _NUMERIC_TOL,
     ExactMatrix,
     Scalar,
     Spectrum,
@@ -254,16 +255,6 @@ class BlockSpec:
         ]
         return ExactMatrix(rows)
 
-    def to_numpy(self) -> np.ndarray:
-        """The realized matrix as floats, without building it exactly.
-
-        Every entry is ``float`` of the exact entry; the diagonal sum
-        ``l_i + p_i`` is taken exactly before the conversion, so the array
-        equals ``realize_block_matrix(self).to_numpy()`` bit for bit.
-        """
-        [(_, a, _)] = _realize_stacks(*_as_trials([self]))
-        return a[0]
-
     def to_json(self) -> dict:
         def enc(x):
             return str(x) if isinstance(x, Fraction) else x
@@ -288,20 +279,12 @@ class BlockSpec:
         )
 
 
-def _as_trials(specs) -> tuple[tuple, int]:
-    """BlockSpecs as a segment of probe trials, and the least common
-    denominator of their coefficients. A segment is three flat int arrays:
-    each trial's block count t, its sizes, and its 2t + t*t coefficients
-    (l, p, s row by row) as numerators over the campaign's denominator."""
-    coeffs = [(*spec.l, *spec.p, *(x for row in spec.s for x in row)) for spec in specs]
-    den = math.lcm(*(Fraction(x).denominator for c in coeffs for x in c))
-    numerators = np.array([int(x * den) for c in coeffs for x in c], dtype=object)
-    sizes = np.concatenate([spec.sizes for spec in specs])
-    return (np.array([spec.t for spec in specs]), sizes, numerators), den
-
-
 def _segment_trials(segment):
-    """Each trial of a segment as a (sizes, coefficients) pair of lists."""
+    """Each trial of a segment as a (sizes, coefficients) pair of lists.
+
+    A segment of probe trials is three flat int arrays: each trial's block
+    count t, its sizes, and its 2t + t*t coefficients (l, p, s row by row)
+    as numerators over the campaign's denominator."""
     blocks, sizes, coeffs = (part.tolist() for part in segment)
     at = drawn = 0
     for t in blocks:
@@ -317,7 +300,6 @@ def _as_spec(segment, j: int, den: int) -> BlockSpec:
     return BlockSpec(tuple(sizes), tuple(c[:t]), tuple(c[t : 2 * t]), s)
 
 
-_EXACT = 1 << 52  # ints below this in size, and sums of two, are exact floats
 # matrix entries a stack of probe trials holds (512 KiB of floats); a larger
 # matrix is a stack of its own
 _PROBE_WINDOW = 1 << 16
@@ -327,14 +309,13 @@ def _realize_stacks(segment, den: int):
     """Realize a segment's trials as floats, one matrix order n at a time,
     in stacks of at most ``_PROBE_WINDOW`` entries (a larger matrix alone), each
     by block count: yields its trial indices, (k, n, n) matrices and (k, n)
-    row block indices. Each entry is one correctly rounded division by
-    ``den`` of its exact numerator (l_i + p_i on the diagonal), gathered
-    from block tables padded to the stack's most blocks with unread values.
+    row block indices. The numerators are small ints (``search._probe_chunks``
+    draws int8 ones over a ``den`` of 1 or 4), so each entry is one correctly
+    rounded division by ``den`` of its exact numerator (l_i + p_i on the
+    diagonal), gathered from block tables padded to the stack's most blocks
+    with unread values.
     """
     blocks, sizes, coeffs = segment[0].astype(np.intp), segment[1].astype(np.intp), segment[2]
-    if den >= _EXACT or coeffs.dtype == object:
-        exact = den < _EXACT and -_EXACT < coeffs.min() and coeffs.max() < _EXACT
-        coeffs = coeffs.astype(np.int64 if exact else object)  # Python ints divide exactly
     first, drawn = np.cumsum(blocks) - blocks, blocks * (blocks + 2)
     coeff_first, orders = np.cumsum(drawn) - drawn, np.add.reduceat(sizes, first)
     by_order = np.lexsort((blocks, orders))
@@ -350,11 +331,10 @@ def _realize_stacks(segment, den: int):
             at_l = coeff_first[members, None] + block
             at_s = coeff_first[members, None, None] + t[:, :, None] * (block[:, None] + 2) + block
             l, p, s = (coeffs[np.minimum(at, len(coeffs) - 1)] for at in (at_l, at_l + t, at_s))
-            if l.dtype != object:
-                l = l.astype(np.int64)  # so that l + p cannot overflow
-            table = np.asarray(s / den, dtype=float)
+            l = l.astype(np.int64)  # so that l + p cannot overflow
+            table = s / den
             table[:, block, block] = l / den
-            diagonal = np.asarray((l + p) / den, dtype=float)
+            diagonal = (l + p) / den
             which = np.arange(len(members))[:, None]
             a = table[which[:, :, None], labels[:, :, None], labels[:, None, :]]
             a[:, range(n), range(n)] = diagonal[which, labels]
@@ -425,7 +405,7 @@ class QuotientReport:
     lifted: bool
 
 
-def lift_check(m, part: Partition, tol: float = 1e-7) -> QuotientReport:
+def lift_check(m, part: Partition) -> QuotientReport:
     """Verify that every quotient eigenvalue appears in the full spectrum.
 
     Requires an equitable partition; the lift then holds structurally, so
@@ -435,9 +415,7 @@ def lift_check(m, part: Partition, tol: float = 1e-7) -> QuotientReport:
     equitable, b = _equitable_quotient(a, part)
     if not equitable:
         raise NotEquitable("lift_check requires an equitable partition")
-    lifted = eigenvalues(a, cluster_tol=0.0).contains(
-        eigenvalues(b, cluster_tol=0.0), tol=tol
-    )
+    lifted = eigenvalues(a, cluster_tol=0.0).contains(eigenvalues(b, cluster_tol=0.0))
     return QuotientReport(B=b, equitable=True, lifted=lifted)
 
 
@@ -448,7 +426,7 @@ class InterlacingReport:
     tight_implies_equitable_ok: bool
 
 
-def interlacing_check(m, part: Partition, tol: float = 1e-9) -> InterlacingReport:
+def interlacing_check(m, part: Partition) -> InterlacingReport:
     """Quotient/full eigenvalue interlacing for a symmetric matrix.
 
     With eigenvalues sorted descending, checks lam_i >= mu_i >= lam_{n-m+i}.
@@ -468,7 +446,7 @@ def interlacing_check(m, part: Partition, tol: float = 1e-9) -> InterlacingRepor
     for j, cell in enumerate(part.cells):
         s[list(cell), j] = 1.0 / math.sqrt(len(cell))
     mu = np.sort(np.linalg.eigvalsh(s.T @ a @ s))[::-1]
-    n, t = len(lam), len(mu)
+    n, t, tol = len(lam), len(mu), 1e-9
     interlaces = all(
         lam[i] >= mu[i] - tol and mu[i] >= lam[n - t + i] - tol for i in range(t)
     )
@@ -492,7 +470,7 @@ class ProbeReport:
     rho_M: float
 
 
-def conjecture_probe(m, part: Partition, tol: float = 1e-7) -> ProbeReport:
+def conjecture_probe(m, part: Partition) -> ProbeReport:
     """Test whether the equitable quotient's largest eigenvalue equals rho(M).
 
     For nonnegative M the quotient is nonnegative, so its Perron root is the
@@ -505,7 +483,7 @@ def conjecture_probe(m, part: Partition, tol: float = 1e-7) -> ProbeReport:
     equitable, b = _equitable_quotient(a, part)
     rho_m = np.abs(_eigvals(a)).max(keepdims=True)
     rho_b = _eigvals(b, general=True).real.max(keepdims=True)
-    return _probe_verdict(rho_m, rho_b, [False], [equitable], tol)[1]
+    return _probe_verdict(rho_m, rho_b, [False], [equitable], _NUMERIC_TOL)[1]
 
 
 def _probe_verdict(rho_m, rho_b, negative, equitable, tol: float) -> tuple[int, ProbeReport]:

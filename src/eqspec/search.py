@@ -44,6 +44,7 @@ from .graphs import (
     matrix_stack,
     vertex_connectivities,
 )
+from .linalg import _NUMERIC_TOL
 from .quotient import BlockSpec, ProbeReport, _as_spec, _probe_verdict, stacked_spectra
 
 UNDIRECTED_VERTEX_BUDGET = 7  # 2**21 labeled graphs
@@ -470,21 +471,21 @@ def _random_trial(rng: random.Random, n_range, t_range, coeff_range):
 
 def _probe_chunks(trials: int, seed: int, n_range, t_range, coeff_range):
     """The campaign's trials, as ``_random_trial`` draws them, in segments
-    (see ``quotient._as_trials``) of int16 block counts and sizes and int8
-    coefficients where ``coeff_range`` fits, of at most ``_PROBE_SEGMENT``
-    matrix entries and an eighth as many coefficients (or one larger trial).
+    (see ``quotient._segment_trials``) of int16 block counts and sizes and
+    int8 coefficients, so ``coeff_range`` must lie within -128..127 (both
+    campaigns' do), of at most ``_PROBE_SEGMENT`` matrix entries and an
+    eighth as many coefficients (or one larger trial).
     Trial i draws from its own substream ``random.Random(f"{seed}:{i}")``,
     so segmenting moves no draw, and drawing one segment past a failing
     trial changes nothing before it."""
-    code = "b" if -128 <= coeff_range[0] and coeff_range[1] < 128 else "i"
-    segment, entries = (array("h"), array("h"), array(code)), 0
+    segment, entries = (array("h"), array("h"), array("b")), 0
     for i in range(trials):
         sizes, coeffs = _random_trial(random.Random(f"{seed}:{i}"), n_range, t_range, coeff_range)
         n = sum(sizes)
         entries += n * n
         if segment[0] and max(entries, 8 * (len(segment[2]) + len(coeffs))) > _PROBE_SEGMENT:
             yield tuple(np.asarray(part) for part in segment)
-            segment, entries = (array("h"), array("h"), array(code)), n * n
+            segment, entries = (array("h"), array("h"), array("b")), n * n
         segment[0].append(len(sizes))
         segment[1].extend(sizes)
         segment[2].extend(coeffs)
@@ -496,7 +497,7 @@ def conjecture_search(
     n_range: tuple[int, int] = (2, 20),
     t_range: tuple[int, int] = (1, 4),
     seed: int = 0,
-    tol: float = 1e-7,
+    tol: float = _NUMERIC_TOL,
 ) -> ConjectureSearchResult:
     """Random nonnegative equitable instances probing whether the quotient's
     top eigenvalue always equals the full spectral radius.

@@ -4,8 +4,8 @@ extremal families, plus a catalogue of verifiable claims.
 Every closed form here is paired with an independent route (numeric
 eigensolver on the constructed matrix, or exact characteristic polynomial of
 the constructed matrix); ``verify_claim`` runs both sides and reports the
-deviation. Numeric claims pass at 1e-7, polynomial claims must match
-exactly.
+deviation. Numeric claims pass within ``linalg._NUMERIC_TOL``, polynomial
+claims must match exactly.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .families import (
 )
 from .graphs import MatrixKind, build_matrices, build_matrix
 from .linalg import (
+    _NUMERIC_TOL,
     ExactMatrix,
     Polynomial,
     Spectrum,
@@ -60,8 +61,6 @@ from .search import (
     bound_scan,
     labeled_isomorph_masks,
 )
-
-_NUMERIC_TOL = 1e-7
 
 # Largest matrix order a claim may build; each exact characteristic
 # polynomial costs about order^4 multiplications per prime.
@@ -406,7 +405,8 @@ _REQUIRED = object()  # the default of a parameter the claim cannot run without
 
 def _coerce(name: str, shape: type, value):
     """``value`` as an int (shape ``int``) or as a tuple of ints (shape
-    ``tuple``); any other value raises InvalidParameters."""
+    ``tuple``), from ints or from text, a tuple's items colon-separated as
+    in ``2:3``; any other value raises InvalidParameters."""
 
     def to_int(item) -> int:
         return int(item) if isinstance(item, str) else operator.index(item)
@@ -414,8 +414,9 @@ def _coerce(name: str, shape: type, value):
     try:
         if shape is int:
             return to_int(value)
-        if isinstance(value, (tuple, list)):
-            return tuple(to_int(item) for item in value)
+        items = value.split(":") if isinstance(value, str) else value
+        if isinstance(items, (tuple, list)):
+            return tuple(to_int(item) for item in items)
     except (TypeError, ValueError):
         pass
     text = "a colon-separated tuple of integers such as 2:3" if shape is tuple else "an integer"

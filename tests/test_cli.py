@@ -141,6 +141,14 @@ def test_verify_multipartite_with_tuple_params(run):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_takes_a_one_element_tuple(run):
+    # cliquestar:5, one clique of 5 on its hub: a one-element tuple has no colon
+    code, out, _ = run(["verify", "ex3.6.1", "--params", "sizes=5"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["params"] == {"sizes": [5]} and payload["passed"] is True
+
+
 def test_analyze_disconnected_distance_is_input_error(run, tmp_path):
     path = tmp_path / "disconnected.txt"
     path.write_text("graph 4\n0 1\n2 3\n")
@@ -297,7 +305,7 @@ def test_bad_probe_parameters_are_usage_errors(run, argv, message):
     [
         (["verify", "lem3.4.random", "--params", "trials=abc"], "trials must be an integer"),
         (["verify", "thm4.3.i", "--params", "n=abc,k=1"], "n must be an integer"),
-        (["verify", "ex3.5.1", "--params", "parts=2"], "parts must be a colon-separated"),
+        (["verify", "ex3.5.1", "--params", "parts=2"], "needs at least 2 parts"),
         (["verify", "ex3.5.1", "--params", "parts=2:x"], "parts must be a colon-separated"),
         (["verify", "cor2.5", "--params", "n=4,shards=1"], "no parameters named: shards"),
         (["verify", "ex3.3", "--params", "bogus=3"], "no parameters named: bogus"),

@@ -27,6 +27,7 @@ from eqspec.linalg import (
     char_poly,
     char_polys,
     eigenvalues,
+    largest_real_root,
     poly_roots,
     spectral_radius,
     squarefree_factors,
@@ -394,6 +395,12 @@ def test_poly_roots_connectivity_cubic_vs_bisection():
     oracle = bisection_largest_root(cubic, 0, 10)
     assert largest == pytest.approx(oracle, abs=1e-10)
     assert largest == pytest.approx(4.2014723382, abs=1e-9)
+
+
+@pytest.mark.parametrize("coeffs", [[-2, 0, 1], [-2, 0, 0, 0, 1]], ids=["quadratic", "quartic"])
+def test_largest_real_root_takes_cubics_only(coeffs):
+    with pytest.raises(ValueError, match="cubic expected"):
+        largest_real_root(Polynomial(coeffs))
 
 
 def test_poly_roots_zero_polynomial():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -32,7 +33,6 @@ from eqspec.quotient import (
     BlockSpec,
     Partition,
     _as_spec,
-    _as_trials,
     _equitable_quotients,
     _realize_stacks,
     _segment_trials,
@@ -369,47 +369,15 @@ def test_blockspec_rational_coefficients_round_trip():
     assert m[2, 0] == Fraction(5, 2)
 
 
-def test_blockspec_to_numpy_is_bit_identical_to_exact_realization():
-    rng = random.Random(45)
-
-    def coeff():
-        return Fraction(rng.randint(-30, 30), rng.choice((1, 3, 4, 7, 10)))
-
-    # float(l) + float(p) misses float(l + p) in the last bit on these
-    specs = [
-        BlockSpec(
-            sizes=(2, 1),
-            l=(Fraction(1, 3), Fraction(2, 7)),
-            p=(Fraction(-5, 3), Fraction(1, 10)),
-            s=((0, 1), (1, 0)),
-        ),
-    ]
-    for _ in range(300):
-        t = rng.randint(1, 5)
-        specs.append(
-            BlockSpec(
-                sizes=tuple(rng.choice((1, 1, 2, 3, 5)) for _ in range(t)),
-                l=tuple(coeff() for _ in range(t)),
-                p=tuple(coeff() for _ in range(t)),
-                s=tuple(tuple(coeff() for _ in range(t)) for _ in range(t)),
-            )
-        )
-    for spec in specs:
-        fast = spec.to_numpy()
-        exact = realize_block_matrix(spec).to_numpy()
-        assert fast.shape == exact.shape and fast.dtype == exact.dtype
-        assert fast.tobytes() == exact.tobytes()
-
-
-def test_blockspec_to_numpy_is_exact_past_the_float_mantissa():
-    # numerators and sums past 2**52 are realized from Python ints
-    big = 2**70 + 1
-    specs = [
-        BlockSpec((2, 1), (Fraction(big, 3), 1), (2**52, -(2**52)), ((0, -big), (1, 0))),
-        BlockSpec((1, 2), (1, 2), (0, 1), ((0, Fraction(1, 2**53 + 1)), (3, 0))),
-    ]
-    for spec in specs:
-        assert spec.to_numpy().tobytes() == realize_block_matrix(spec).to_numpy().tobytes()
+def _as_trials(specs) -> tuple[tuple, int]:
+    """BlockSpecs as a segment of probe trials (see
+    ``quotient._segment_trials``), its coefficients int64 numerators over
+    their least common denominator, and that denominator."""
+    coeffs = [(*spec.l, *spec.p, *(x for row in spec.s for x in row)) for spec in specs]
+    den = math.lcm(*(Fraction(x).denominator for c in coeffs for x in c))
+    numerators = np.array([int(x * den) for c in coeffs for x in c], dtype=np.int64)
+    sizes = np.concatenate([spec.sizes for spec in specs])
+    return (np.array([spec.t for spec in specs]), sizes, numerators), den
 
 
 def test_trials_round_trip_over_the_least_common_denominator():

@@ -138,11 +138,17 @@ def test_graph_bound_signless_laplacian_value():
     assert numeric == pytest.approx(expected, abs=1e-9)
 
 
-def test_graph_bound_adjacency_cubic_against_bisection():
-    cubic = Polynomial([4, -6, -3, 1])
-    assert graph_quotient_charpolys(6, 2, 1, "A") == cubic
-    oracle = bisection_largest_root(cubic, 0, 10)
-    assert graph_bound(6, 2, "A").value == pytest.approx(oracle, abs=1e-10)
+@pytest.mark.parametrize("kind", ["A", "D", "DQ"])
+def test_graph_bound_cubics_against_bisection(kind):
+    assert graph_quotient_charpolys(6, 2, 1, "A") == Polynomial([4, -6, -3, 1])
+    # every graph bound cubic at n <= 16: the p = 1 member's quotient cubic,
+    # its largest root below the largest row sum, which is under 4n for the
+    # distance signless Laplacian of a graph of diameter 2
+    for n in range(3, 17):
+        for k in range(1, n - 1):
+            cubic = graph_quotient_charpolys(n, k, 1, kind)
+            oracle = bisection_largest_root(cubic, 0, 4 * n)
+            assert graph_bound(n, k, kind).value == pytest.approx(oracle, rel=1e-14, abs=0)
 
 
 def test_graph_bound_lists_both_isomorphic_endpoint_members():
