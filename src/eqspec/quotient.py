@@ -6,9 +6,11 @@ row sums (an equitable partition), quotient eigenvalues lift to the full
 matrix, and for matrices whose blocks are J/I combinations the full spectrum
 splits into the quotient spectrum plus explicitly known repeated values.
 
-Every equitability test and quotient comes from one routine over a stack
-of matrices in cell order, ``_equitable_quotients``: a single matrix is a
-stack of one, an ExactMatrix an object-dtype stack tested exactly.
+Every equitability test and quotient of a given matrix comes from one
+routine, ``_equitable_quotient``, which sums cells (an ExactMatrix exactly).
+The probe campaigns realize only ``BlockSpec`` matrices, which are
+equitable by construction, so their quotients come from the block
+coefficients in closed form and no cell is summed.
 """
 
 from __future__ import annotations
@@ -116,52 +118,17 @@ def format_partition(part: Partition) -> str:
     return "{" + "|".join(",".join(str(i) for i in cell) for cell in part.cells) + "}"
 
 
-def _equitable_quotients(a: np.ndarray, labels: np.ndarray, tol: float = 1e-12):
-    """Whether each matrix of a (k, n, n) stack is equitable, and its
-    quotient B: the one routine that sums cells.
-
-    Cells are runs of consecutive indices, index u of matrix i in cell
-    ``labels[i, u]`` (as ``_realize_stacks`` gives them). Each row's sum
-    over each cell's columns is one segment of a single ``np.add.reduceat``
-    over the flattened stack, and those sums are reduced over each cell's
-    rows the same way, so a matrix's results do not depend on the rest of
-    the stack. A block is equitable when its row sums spread by at most
-    ``tol``, real and imaginary parts tested apart; B is the block totals
-    over the cell sizes, which are Fractions for an object-dtype stack of
-    exact scalars, so that its B is exact. Returns the (k,) flags and the
-    Bs padded with zeros to the most blocks t: matrix i's is ``[i, :t_i, :t_i]``.
-    """
-    k, n = labels.shape
-    blocks = labels[:, -1] + 1
-    width = int(blocks.max())
-    first = np.ones((k, n), dtype=bool)
-    first[:, 1:] = labels[:, 1:] != labels[:, :-1]
-    # one segment per row and cell of every matrix, in that order; row u of
-    # matrix i keeps its sums in its first t_i columns
-    segments = np.flatnonzero(np.repeat(first, n, axis=0))
-    sums = np.zeros((k * n, width), dtype=a.dtype)
-    sums[np.arange(width) < np.repeat(blocks, n)[:, None]] = np.add.reduceat(a.ravel(), segments)
-    runs = np.flatnonzero(first)  # the first row of each cell of every matrix
-    sizes = np.diff(np.append(runs, k * n))
-    if a.dtype == object:
-        sizes = np.array([Fraction(int(size)) for size in sizes], dtype=object)
-    uneven = np.zeros(len(runs), dtype=bool)
-    # numpy orders complex numbers lexicographically, so each part is
-    # spread-tested on its own
-    for values in (sums.real, sums.imag) if np.iscomplexobj(sums) else (sums,):
-        spread = np.maximum.reduceat(values, runs) - np.minimum.reduceat(values, runs)
-        uneven |= (spread > tol).any(axis=1)
-    block_starts = np.cumsum(blocks) - blocks
-    equitable = ~np.logical_or.reduceat(uneven, block_starts)
-    rows = np.add.reduceat(sums, runs) / sizes[:, None]
-    quotients = np.zeros((k, width, width), dtype=rows.dtype)
-    quotients[np.arange(width) < blocks[:, None]] = rows
-    return equitable, quotients
-
-
 def _equitable_quotient(m, part: Partition, tol: float = 1e-12):
-    """``is_equitable`` and ``quotient_matrix`` of one matrix, as a stack of
-    one in cell order; an ExactMatrix exactly (tol 0), with an exact B."""
+    """Whether m is equitable under the partition, and its quotient B: the
+    one routine that sums cells.
+
+    Rows and columns go into cell order; one ``np.add.reduceat`` over the
+    columns gives each row's sum over each cell, and one over the rows the
+    block totals. A block is equitable when its row sums spread by at most
+    ``tol``, real and imaginary parts tested apart; B is the block totals
+    over the cell sizes. An ExactMatrix is tested exactly (tol 0) as an
+    object array, with Fraction sizes, so that its B is exact.
+    """
     exact = isinstance(m, ExactMatrix)
     a = np.array(m.rows, dtype=object) if exact else as_numeric(m)
     if len(a) != part.n:
@@ -169,11 +136,17 @@ def _equitable_quotient(m, part: Partition, tol: float = 1e-12):
             f"matrix order {len(a)} does not match partition ground set {part.n}"
         )
     order = [v for cell in part.cells for v in cell]
-    labels = np.repeat(np.arange(part.t), part.sizes)[None]
-    [equitable], [b] = _equitable_quotients(
-        a[np.ix_(order, order)][None], labels, 0 if exact else tol
-    )
-    return bool(equitable), ExactMatrix(b.tolist()) if exact else b
+    starts = np.cumsum((0,) + part.sizes[:-1])
+    sums = np.add.reduceat(a[np.ix_(order, order)], starts, axis=1)
+    equitable = True
+    # numpy orders complex numbers lexicographically, so each part is
+    # spread-tested on its own
+    for values in (sums.real, sums.imag) if np.iscomplexobj(sums) else (sums,):
+        spread = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
+        equitable &= not (spread > (0 if exact else tol)).any()
+    sizes = np.array([Fraction(size) for size in part.sizes] if exact else part.sizes)
+    b = np.add.reduceat(sums, starts) / sizes[:, None]
+    return equitable, ExactMatrix(b.tolist()) if exact else b
 
 
 def quotient_matrix(m, part: Partition):
@@ -308,12 +281,15 @@ _PROBE_WINDOW = 1 << 16
 def _realize_stacks(segment, den: int):
     """Realize a segment's trials as floats, one matrix order n at a time,
     in stacks of at most ``_PROBE_WINDOW`` entries (a larger matrix alone), each
-    by block count: yields its trial indices, (k, n, n) matrices and (k, n)
-    row block indices. The numerators are small ints (``search._probe_chunks``
-    draws int8 ones over a ``den`` of 1 or 4), so each entry is one correctly
-    rounded division by ``den`` of its exact numerator (l_i + p_i on the
-    diagonal), gathered from block tables padded to the stack's most blocks
-    with unread values.
+    by block count: yields its trial indices, (k, n, n) matrices M and
+    (k, t, t) quotients B, t the stack's most blocks. The numerators are
+    small ints (``search._probe_chunks`` draws int8 ones over a ``den`` of 1
+    or 4), so each entry of M is one correctly rounded division by ``den`` of
+    its exact numerator (l_i + p_i on the diagonal), gathered from block
+    tables padded with unread values. B is the closed-form quotient
+    (``BlockSpec.quotient``) of that natural partition, each entry one
+    correctly rounded division of s_ij*n_j (l_i*n_i + p_i on the diagonal);
+    a trial's B is ``[:t_i, :t_i]``, the rest unread.
     """
     blocks, sizes, coeffs = segment[0].astype(np.intp), segment[1].astype(np.intp), segment[2]
     first, drawn = np.cumsum(blocks) - blocks, blocks * (blocks + 2)
@@ -326,7 +302,8 @@ def _realize_stacks(segment, den: int):
             t = blocks[members, None]
             block = np.arange(int(t.max()))
             at_size = np.minimum(first[members, None] + block, len(sizes) - 1)
-            ends = np.cumsum(np.where(block < t, sizes[at_size], 0), axis=1)
+            widths = np.where(block < t, sizes[at_size], 0)
+            ends = np.cumsum(widths, axis=1)
             labels = (np.arange(n)[:, None] >= ends[:, None, :]).sum(axis=2)
             at_l = coeff_first[members, None] + block
             at_s = coeff_first[members, None, None] + t[:, :, None] * (block[:, None] + 2) + block
@@ -338,29 +315,27 @@ def _realize_stacks(segment, den: int):
             which = np.arange(len(members))[:, None]
             a = table[which[:, :, None], labels[:, :, None], labels[:, None, :]]
             a[:, range(n), range(n)] = diagonal[which, labels]
-            yield members, a, labels
+            b = s * widths[:, None, :]
+            b[:, block, block] = l * widths + p
+            yield members, a, b / den
             del a  # with the caller's reference, before the next is gathered
 
 
 def stacked_spectra(segment, den: int = 1, tops: bool = False):
     """Eigenvalues of a segment's matrices M and quotients B, coefficients
-    over ``den``, and two flags: M has a negative entry; its natural
-    partition is equitable by the ``is_equitable`` rule. With ``tops``, each
-    trial's largest modulus of M's values and largest real part of B's (from
-    the general solver) instead, all in trial order.
-    Each stack of ``_realize_stacks`` takes one ``_equitable_quotients``
-    call and one solver call per symmetry, its Bs one per block count."""
+    over ``den``; with ``tops``, each trial's largest modulus of M's values
+    and largest real part of B's (from the general solver) instead, all in
+    trial order. Each stack of ``_realize_stacks`` takes one solver call per
+    symmetry, its Bs one per block count. No trial is checked: a BlockSpec's
+    M is equitable by construction, and its sign is the caller's draw."""
     blocks, count = segment[0], len(segment[0])
-    negative, equitable = np.zeros((2, count), dtype=bool)
     m_out, b_out = (np.empty(count), np.empty(count)) if tops else ([None] * count, [None] * count)
 
     def keep(out, members, values, measure):
         for j, kept in zip(members.tolist(), measure(values).max(axis=1) if tops else values):
             out[j] = kept
 
-    for members, a, labels in _realize_stacks(segment, den):
-        negative[members] = (a < 0).any(axis=(1, 2))
-        equitable[members], quotients = _equitable_quotients(a, labels)
+    for members, a, quotients in _realize_stacks(segment, den):
         for group, values in _eigvals_groups(a):
             keep(m_out, members[group], values, np.abs)
         del a
@@ -370,7 +345,7 @@ def stacked_spectra(segment, den: int = 1, tops: bool = False):
         for t, lo, hi in zip(counts.tolist(), starts.tolist(), ends):
             for group, values in _eigvals_groups(quotients[lo:hi, :t, :t], tops):
                 keep(b_out, members[lo + group], values, np.real)
-    return m_out, b_out, negative, equitable
+    return m_out, b_out
 
 
 def realize_block_matrix(spec: BlockSpec) -> ExactMatrix:
@@ -474,32 +449,33 @@ def conjecture_probe(m, part: Partition) -> ProbeReport:
     """Test whether the equitable quotient's largest eigenvalue equals rho(M).
 
     For nonnegative M the quotient is nonnegative, so its Perron root is the
-    eigenvalue of maximum real part; a verified instance with holds=False is
-    a counterexample candidate and should be serialized in full by callers.
+    eigenvalue of maximum real part. That root is rho(M): the partition's
+    indicator matrix S has MS = SB, so with y^T M's left Perron vector,
+    (y^T S)B = rho(M)(y^T S) where y^T S >= 0 is nonzero, and every
+    eigenvalue of B is one of M. A report with holds=False is therefore a
+    numerical fault (a defective B, say), and callers serialize it in full.
     """
     a = as_numeric(m)
     if np.any(a < 0):
         raise NotNonnegative("conjecture_probe requires a nonnegative matrix")
     equitable, b = _equitable_quotient(a, part)
+    if not equitable:
+        raise NotEquitable("conjecture_probe requires an equitable partition")
     rho_m = np.abs(_eigvals(a)).max(keepdims=True)
     rho_b = _eigvals(b, general=True).real.max(keepdims=True)
-    return _probe_verdict(rho_m, rho_b, [False], [equitable], _NUMERIC_TOL)[1]
+    return _probe_verdict(rho_m, rho_b, _NUMERIC_TOL)[1]
 
 
-def _probe_verdict(rho_m, rho_b, negative, equitable, tol: float) -> tuple[int, ProbeReport]:
-    """The ``conjecture_probe`` verdict on a run of trials, from the four
+def _probe_verdict(rho_m, rho_b, tol: float) -> tuple[int, ProbeReport]:
+    """The ``conjecture_probe`` verdict on a run of trials, from the two
     vectors of ``stacked_spectra`` with ``tops``: rho_M, the largest modulus
-    of M's eigenvalues, rho_B, the largest real part of B's, and the flags.
+    of M's eigenvalues, and rho_B, the largest real part of B's.
 
     A trial holds when its rho_B and rho_M differ by at most ``tol``.
     Returns the first trial that does not hold, or the last when all do,
-    with its report; raises what the probe raises if that trial is rejected.
+    with its report.
     """
     holds = np.abs(rho_b - rho_m) <= tol
-    failing = np.flatnonzero(np.logical_or(negative, np.logical_not(equitable)) | ~holds)
+    failing = np.flatnonzero(~holds)
     j = int(failing[0]) if failing.size else len(holds) - 1
-    if negative[j]:
-        raise NotNonnegative("conjecture_probe requires a nonnegative matrix")
-    if not equitable[j]:
-        raise NotEquitable("conjecture_probe requires an equitable partition")
     return j, ProbeReport(holds=bool(holds[j]), rho_B=float(rho_b[j]), rho_M=float(rho_m[j]))

@@ -499,23 +499,24 @@ def conjecture_search(
     seed: int = 0,
     tol: float = _NUMERIC_TOL,
 ) -> ConjectureSearchResult:
-    """Random nonnegative equitable instances probing whether the quotient's
-    top eigenvalue always equals the full spectral radius.
+    """Random nonnegative equitable instances checking numerically that the
+    quotient's top eigenvalue equals the full spectral radius, as it must
+    (see ``conjecture_probe``): a reported trial is a numerical fault.
 
     Deterministic given the seed (per-trial independent substreams). Stops
     at the first failing instance and returns it fully; None expected.
     Each trial is ``conjecture_probe`` of one random ``BlockSpec`` whose
-    coefficients are quarters in [0, 10], with the same checks, errors and
-    verdict. The trials are drawn as ints (numerators over 4) in segments
-    (``_probe_chunks``), whose matrices of each order are realized, checked
-    and solved together (``stacked_spectra``). The first failing trial is
-    reported, whatever else its segment holds; only it becomes a BlockSpec.
+    coefficients are quarters in [0, 10], with the same verdict; its checks
+    cannot fail on such a matrix. The trials are drawn as ints (numerators
+    over 4) in segments (``_probe_chunks``), whose matrices of each order
+    are realized and solved together, each B from the coefficients
+    (``stacked_spectra``). The first failing trial is reported, whatever
+    else its segment holds; only it becomes a BlockSpec.
     """
     _check_probe_parameters(trials, n_range, t_range)
     done = 0
     for segment in _probe_chunks(trials, seed, n_range, t_range, (0, 40)):
-        tops = stacked_spectra(segment, 4, tops=True)
-        j, report = _probe_verdict(*tops, tol)
+        j, report = _probe_verdict(*stacked_spectra(segment, 4, tops=True), tol)
         if not report.holds:
             return ConjectureSearchResult(done + j + 1, seed, _as_spec(segment, j, 4), report)
         done += len(segment[0])

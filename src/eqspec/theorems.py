@@ -661,7 +661,7 @@ def _handle_block_spectrum_random(params: dict):
     _check_probe_parameters(trials, n_range, t_range)
     dev = 0.0
     for segment in _probe_chunks(trials, seed, n_range, t_range, (-5, 5)):
-        m_values, b_values, _, _ = stacked_spectra(segment)
+        m_values, b_values = stacked_spectra(segment)
         for (sizes, coeffs), m_vals, b_vals in zip(_segment_trials(segment), m_values, b_values):
             lifted = _lifted_spectrum(sizes, coeffs[len(sizes) : 2 * len(sizes)], b_vals)
             dev = max(dev, lifted.deviation(Spectrum.from_values(m_vals, cluster_tol=0.0)))

@@ -6,15 +6,16 @@ division-free recurrence over exact scalars, instead of multi-modular
 Faddeev-LeVerrier, Floyd-Warshall instead of level-by-level matrix
 products, union-find, Warshall's closure and depth-first search instead of
 reachability products, max-flow Menger instead of batched cut enumeration,
-bisection instead of closed forms, power iteration with Collatz-Wielandt
-bracketing instead of LAPACK for Perron roots, per-block loops instead of
-the stacked cell-sum reduction (and a row-at-a-time reduction that pins its
-summation order), one labeled graph and one permutation at a time instead
-of isomorphism orbits and relabeling tables, one probe trial at a time
-instead of chunks solved by matrix shape, one family member at a time
-instead of a connectivity theorem's members solved as one stack, and the
-block families written out from their definitions, clique by clique and
-join by join, instead of from a table of joined cells.
+bisection on the oracle's own Sturm counts instead of closed forms, power
+iteration with Collatz-Wielandt bracketing instead of LAPACK for Perron
+roots, per-block loops instead of the cell-sum reduction and the
+closed-form probe quotients (and a row-at-a-time reduction that pins the
+reduction's summation order), one labeled graph and one permutation at a
+time instead of isomorphism orbits and relabeling tables, one probe trial
+at a time instead of chunks solved by matrix shape, one family member at a
+time instead of a connectivity theorem's members solved as one stack, and
+the block families written out from their definitions, clique by clique
+and join by join, instead of from a table of joined cells.
 """
 
 from __future__ import annotations
@@ -322,35 +323,62 @@ def family_by_definition(spec):
 
 
 def bisection_largest_root(poly: Polynomial, lo: Fraction, hi: Fraction, steps: int = 200) -> float:
-    """Largest real root in (lo, hi) by exact-sign bisection.
+    """Largest real root in (lo, hi] by exact bisection on Sturm counts.
 
-    Requires poly(hi) != 0 and a sign change on some subinterval; scans from
-    the right so the root found is the largest one in range.
+    The oracle's own Sturm sequence over Fraction counts the distinct roots
+    in any interval. Of 256 grid cells down from hi, the first that holds a
+    root holds the largest one; it is halved ``steps`` times, keeping the
+    half that holds that root, so two roots in one cell, or a root of even
+    multiplicity, cannot lead it to a smaller one.
     """
     lo, hi = Fraction(lo), Fraction(hi)
-    grid = 256
-    prev_x, prev_sign = hi, _sign(horner(poly, hi))
+    changes = _sturm_changes(poly)
+    top, grid, upper = changes(hi), 256, hi
     for i in range(1, grid + 1):
-        x = hi - (hi - lo) * i / grid
-        s = _sign(horner(poly, x))
-        if s == 0:
-            return float(x)
-        if s != prev_sign:
-            a, b = x, prev_x
-            for _ in range(steps):
-                mid = (a + b) / 2
-                sm = _sign(horner(poly, mid))
-                if sm == 0:
-                    return float(mid)
-                if sm == s:
-                    a = mid
-                else:
-                    b = mid
-            return float((a + b) / 2)
-        prev_x, prev_sign = x, s
-    raise ValueError("no sign change found in range")
+        lower = hi - (hi - lo) * i / grid
+        if changes(lower) > top:
+            break
+        upper = lower
+    else:
+        raise ValueError("no root in range")
+    # the largest root r in range has lower < r <= upper
+    for _ in range(steps):
+        mid = (lower + upper) / 2
+        if changes(mid) > top:
+            lower = mid
+        else:
+            upper = mid
+    return float(upper)
 
 
+def _sturm_changes(poly: Polynomial):
+    """x -> the sign changes at x of poly's Sturm sequence (p, p', then
+    each negated remainder), coefficients high to low over Fraction; for
+    a < b, changes(a) - changes(b) counts the distinct roots in (a, b]."""
+    p = [Fraction(c) for c in reversed(poly.coeffs)]
+    sequence = [p, [c * (len(p) - 1 - k) for k, c in enumerate(p[:-1])]]
+    while len(sequence[-1]) > 1:
+        divisor, rem = sequence[-1], list(sequence[-2])
+        while len(rem) >= len(divisor):
+            factor = rem[0] / divisor[0]
+            rem = [r - factor * d for r, d in zip(rem[1:], divisor[1:] + [0] * len(rem))]
+        while rem and rem[0] == 0:
+            rem.pop(0)
+        if not rem:
+            break
+        sequence.append([-r for r in rem])
+
+    def value(q, x):
+        acc = 0
+        for c in q:
+            acc = acc * x + c
+        return acc
+
+    def changes(x) -> int:
+        signs = [s for s in (_sign(value(q, x)) for q in sequence) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
@@ -402,12 +430,14 @@ def perron_root(m, tol: float = 1e-11) -> float:
 
 
 def quotient_matrix_blockwise(a: np.ndarray, part) -> np.ndarray:
-    """Numeric quotient one block at a time: block sum over the row cell size."""
-    t = part.t
-    out = np.empty((t, t), dtype=a.dtype if a.dtype.kind == "c" else float)
+    """Quotient one block at a time: block sum over the row cell size, as
+    Fractions for an object array of exact scalars."""
+    t, exact = part.t, a.dtype == object
+    out = np.empty((t, t), dtype=a.dtype if a.dtype.kind in "cO" else float)
     for i, ci in enumerate(part.cells):
         for j, cj in enumerate(part.cells):
-            out[i, j] = a[np.ix_(ci, cj)].sum() / len(ci)
+            total = a[np.ix_(ci, cj)].sum()
+            out[i, j] = Fraction(total, len(ci)) if exact else total / len(ci)
     return out
 
 

@@ -397,6 +397,21 @@ def test_poly_roots_connectivity_cubic_vs_bisection():
     assert largest == pytest.approx(4.2014723382, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "coeffs, lo, hi, root",
+    [
+        # the DQ bound cubic at (n, k) = (12, 5), roots 25, 14 and 10, in its
+        # Cauchy bound: 25 and 14 share the top grid cell that holds a root
+        ([-3500, 740, -49, 1], 0, 3501, 25.0),
+        # (x - 2)^2 (x - 1): the largest root has no sign change
+        ([-4, 8, -5, 1], 0, 20, 2.0),
+        ([-2, 0, 1], 0, 5, math.sqrt(2)),
+    ],
+)
+def test_bisection_oracle_returns_the_largest_root(coeffs, lo, hi, root):
+    assert bisection_largest_root(Polynomial(coeffs), lo, hi) == root
+
+
 @pytest.mark.parametrize("coeffs", [[-2, 0, 1], [-2, 0, 0, 0, 1]], ids=["quadratic", "quartic"])
 def test_largest_real_root_takes_cubics_only(coeffs):
     with pytest.raises(ValueError, match="cubic expected"):

@@ -33,7 +33,7 @@ from eqspec.quotient import (
     BlockSpec,
     Partition,
     _as_spec,
-    _equitable_quotients,
+    _equitable_quotient,
     _realize_stacks,
     _segment_trials,
     conjecture_probe,
@@ -412,47 +412,76 @@ def _random_specs(rng, count, n, coeff):
     return specs
 
 
+def _assert_realized(spec, m, b):
+    """A realized M and its closed-form quotient B equal the blockwise
+    realization, the exact quotient and the blockwise cell sums bit for bit
+    (every entry a quarter: every partial sum is exact in any order)."""
+    assert m.tobytes() == realize_blockwise(spec).tobytes()
+    b = b[: spec.t, : spec.t]
+    assert b.tobytes() == spec.quotient().to_numpy().tobytes()
+    assert b.tobytes() == quotient_matrix_blockwise(m, spec.partition()).tobytes()
+
+
 def test_realize_stack_matches_blockwise_realization():
     rng = random.Random(46)
-    specs = _random_specs(
-        rng, 40, 9, lambda: Fraction(rng.randint(-30, 30), rng.choice((1, 3, 4)))
-    )
-    [(members, a, labels)] = _realize_stacks(*_as_trials(specs))
-    # one stack, its matrices by block count
-    assert sorted(members.tolist()) == list(range(40))
-    assert [specs[i].t for i in members] == sorted(spec.t for spec in specs)
-    assert a.shape == (40, 9, 9) and labels.shape == (40, 9)
-    for j, spec in ((j, specs[i]) for j, i in enumerate(members)):
-        assert a[j].tobytes() == realize_blockwise(spec).tobytes()
-        cells = spec.partition().cells
-        assert labels[j].tolist() == [i for i, cell in enumerate(cells) for _ in cell]
+    # int8 numerators over both campaigns' denominators
+    for den in (1, 4):
+        specs = _random_specs(rng, 40, 9, lambda: Fraction(rng.randint(-128, 127), den))
+        segment, lcd = _as_trials(specs)
+        assert lcd == den
+        [(members, a, b)] = _realize_stacks(segment, den)
+        # one stack, its matrices by block count
+        assert sorted(members.tolist()) == list(range(40))
+        assert [specs[i].t for i in members] == sorted(spec.t for spec in specs)
+        width = max(spec.t for spec in specs)
+        assert a.shape == (40, 9, 9) and b.shape == (40, width, width)
+        for j, i in enumerate(members):
+            _assert_realized(specs[i], a[j], b[j])
 
 
-def test_equitable_quotients_match_per_matrix_checks():
+def test_realize_stack_of_one_order_500_trial():
+    rng = random.Random(49)
+    t = 500
+    c = [Fraction(rng.randint(0, 40), 4) for _ in range(t * (t + 2))]
+    s = tuple(tuple(c[(2 + i) * t : (3 + i) * t]) for i in range(t))
+    spec = BlockSpec((1,) * t, tuple(c[:t]), tuple(c[t : 2 * t]), s)
+    segment, den = _as_trials([spec])
+    assert den == 4
+    [(members, a, b)] = _realize_stacks(segment, den)
+    assert members.tolist() == [0] and a.shape == b.shape == (1, t, t)
+    _assert_realized(spec, a[0], b[0])
+
+
+def test_equitable_quotient_matches_blockwise_oracle():
     rng = random.Random(47)
-    specs = _random_specs(rng, 30, 7, lambda: Fraction(rng.randint(0, 40), 4))
-    [(members, a, labels)] = _realize_stacks(*_as_trials(specs))
-    specs = [specs[i] for i in members]
-    # spoil every third matrix in its first row: not equitable when that
-    # row's block has another row
-    for j in range(0, 30, 3):
-        a[j, 0, 0] += 0.25
-    equitable, quotients = _equitable_quotients(a, labels)
-    assert 0 < equitable.sum() < 30
-    width = max(spec.t for spec in specs)
-    assert quotients.shape == (30, width, width)
-    for j, spec in enumerate(specs):
-        part = spec.partition()
-        expected = j % 3 != 0 or spec.sizes[0] == 1
-        assert equitable[j] == is_equitable_blockwise(a[j], part) == expected
-        # B padded with zeros to the stack's most blocks
-        b, t = quotients[j], spec.t
-        assert not b[t:].any() and not b[:, t:].any()
-        # entries in quarters: every partial sum is exact in any order
-        assert b[:t, :t].tobytes() == quotient_matrix_blockwise(a[j], part).tobytes()
+    verdicts = set()
+    for j in range(60):
+        spec = _random_specs(rng, 1, rng.randint(1, 8), lambda: Fraction(rng.randint(0, 40), 4))[0]
+        clean, part = _shuffled_equitable(rng, spec)
+        u, v = rng.randrange(part.n), rng.randrange(part.n)
+        # every third matrix spoiled in one entry: that unbalances the entry's
+        # row in its block unless the row's cell is a single vertex
+        spoil = np.zeros_like(clean)
+        spoil[u, v] = 0.25 if j % 3 == 0 else 0
+        spoiled = j % 3 == 0 and len(next(c for c in part.cells if u in c)) > 1
+        verdicts.add(spoiled)
+        # real, and complex spoiled in its imaginary part alone
+        for m in (clean + spoil, clean * (1 + 0.5j) + spoil * 1j):
+            equitable, b = _equitable_quotient(m, part)
+            assert equitable is is_equitable_blockwise(m, part) is not spoiled
+            assert b.tobytes() == quotient_matrix_blockwise(m, part).tobytes()
+        # exact, spoiled by a third
+        rows = [
+            [Fraction(x) + Fraction(y) * 4 / 3 for x, y in zip(*pair)]
+            for pair in zip(clean.tolist(), spoil.tolist())
+        ]
+        equitable, b = _equitable_quotient(ExactMatrix(rows), part)
+        exact = np.array(rows, dtype=object)
+        assert equitable is is_equitable_blockwise(exact, part, tol=0) is not spoiled
+        assert b.rows == tuple(map(tuple, quotient_matrix_blockwise(exact, part).tolist()))
         if j % 3:
-            # a BlockSpec is equitable by construction; B is its exact quotient
-            assert b[:t, :t].tobytes() == spec.quotient().to_numpy().tobytes()
+            assert b.rows == spec.quotient().rows
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("tops", [False, True])
@@ -469,7 +498,7 @@ def test_stacked_spectra_match_one_solve_per_matrix(monkeypatch, tops):
     # stacks of one matrix, of a few, and of a whole order
     for window in (1, 200, 1 << 30):
         monkeypatch.setattr(quotient, "_PROBE_WINDOW", window)
-        m_out, b_out, negative, equitable = stacked_spectra(segment, tops=tops)
+        m_out, b_out = stacked_spectra(segment, tops=tops)
         for j, spec in enumerate(specs):
             m = realize_blockwise(spec)
             b = spec.quotient().to_numpy()
@@ -483,7 +512,6 @@ def test_stacked_spectra_match_one_solve_per_matrix(monkeypatch, tops):
                 assert m_out[j] == np.abs(solo_m).max() and b_out[j] == solo_b.real.max()
             else:
                 assert np.array_equal(m_out[j], solo_m) and np.array_equal(b_out[j], solo_b)
-            assert negative[j] == bool(np.any(m < 0)) and equitable[j]
 
 
 # ---------------------------------------------------------------------------
@@ -597,3 +625,14 @@ def test_probe_all_ones_any_partition():
 def test_probe_requires_equitable():
     with pytest.raises(NotEquitable):
         conjecture_probe(_path3_adjacency().to_numpy(), parse_partition("{0,1|2}"))
+
+
+def test_probe_rejects_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a rejected matrix")
+
+    monkeypatch.setattr(quotient, "_eigvals", no_solve)
+    with pytest.raises(NotEquitable, match="^conjecture_probe requires an equitable partition$"):
+        conjecture_probe(_path3_adjacency().to_numpy(), parse_partition("{0,1|2}"))
+    with pytest.raises(NotNonnegative, match="^conjecture_probe requires a nonnegative matrix$"):
+        conjecture_probe(-np.ones((10, 10)), PETERSEN_PART)

@@ -14,10 +14,12 @@ from oracles import (
     conjecture_campaign,
     connected_union_find,
     family_by_definition,
+    is_equitable_blockwise,
     labeled_scan,
     labeled_scan_table,
     probe_gaps,
     random_blockspec,
+    realize_blockwise,
     relabeled_masks,
     strong_components,
     strongly_connected_warshall,
@@ -45,7 +47,7 @@ from eqspec.graphs import (
     vertex_connectivity,
 )
 from eqspec.linalg import spectral_radius
-from eqspec.quotient import BlockSpec, _segment_trials, realize_block_matrix
+from eqspec.quotient import BlockSpec, _as_spec, _segment_trials, realize_block_matrix
 from eqspec.search import (
     OBJECTIVES,
     PROBE_ORDER_BUDGET,
@@ -586,6 +588,29 @@ def test_probe_chunks_stay_within_the_entry_budget(monkeypatch, n_range, trials)
     ]
 
 
+@pytest.mark.parametrize(
+    "trials, n_range, t_range, coeff_range, den",
+    [
+        (300, (2, 20), (1, 4), (0, 40), 4),
+        (30, (2, 60), (1, 60), (0, 40), 4),
+        (300, (1, 20), (1, 4), (-5, 5), 1),
+        (30, (1, 60), (1, 60), (-5, 5), 1),
+    ],
+)
+def test_probe_trials_realize_equitable_block_matrices(trials, n_range, t_range, coeff_range, den):
+    # the premise of the closed-form probe quotients: every drawn matrix is
+    # equitable under its natural partition, and conjecture's nonnegative
+    checked = 0
+    for segment in _probe_chunks(trials, 4, n_range, t_range, coeff_range):
+        for j in range(len(segment[0])):
+            spec = _as_spec(segment, j, den)
+            m = realize_blockwise(spec)
+            assert is_equitable_blockwise(m, spec.partition())
+            assert (m >= 0).all() or coeff_range != (0, 40)
+            checked += 1
+    assert checked == trials
+
+
 def test_probe_chunks_hold_plain_ints_only():
     segment = next(_probe_chunks(3000, 3, (2, 20), (1, 4), (0, 40)))
     blocks, sizes, coeffs = segment
@@ -610,10 +635,10 @@ def test_probe_stacks_and_segments_stay_bounded_at_large_orders(monkeypatch, win
     realize, draw = quotient._realize_stacks, search._probe_chunks
 
     def spied_realize(*args):
-        for members, a, labels in realize(*args):
+        for members, a, b in realize(*args):
             # segments are drawn lazily: the last one drawn is being realized
             stacks.append((len(segments) - 1, members.tolist(), a.size))
-            yield members, a, labels
+            yield members, a, b
 
     def spied_draw(*args):
         for drawn in draw(*args):
