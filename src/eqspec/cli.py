@@ -22,7 +22,7 @@ import numpy as np
 from . import graphs, linalg, quotient, search, theorems
 from .errors import BudgetExceeded, EqspecError
 from .families import adjacency_blockspec, build, format_family, parse_family
-from .graphs import ALL_KINDS, MatrixKind, build_matrix, format_graph_file
+from .graphs import ALL_KINDS, MatrixKind, format_graph_file
 
 _SIGNIFICANT_DIGITS = 12
 # largest (di)graph analyze, quotient and family take; at this order the
@@ -115,20 +115,18 @@ def _cmd_quotient(args) -> int:
     obj = _read_graph(args.file)
     part = quotient.parse_partition(args.partition)
     kind = MatrixKind.coerce(args.kind)
-    matrix = build_matrix(obj, kind)
-    equitable, b_exact = quotient._equitable_quotient(matrix, part)
+    # integer entries: the float cell sums and the equitable test are exact
+    matrix = graphs.build_matrices([obj], kind)[0].astype(np.float64)
+    equitable, b = quotient._equitable_quotient(matrix, part)
+    b_values = linalg._eigvals(b)
     payload = {
         "kind": kind.value,
         "partition": quotient.format_partition(part),
-        "B": [[float(x) for x in row] for row in b_exact.rows],
+        "B": b.tolist(),
         "equitable": equitable,
-        "quotient_spectrum": linalg.eigenvalues(b_exact.to_numpy()).to_json(),
+        "quotient_spectrum": linalg.Spectrum.from_values(b_values).to_json(),
+        "lifted": quotient._lifts(matrix, b_values) if equitable else None,
     }
-    if equitable:
-        report = quotient.lift_check(matrix.to_numpy(), part)
-        payload["lifted"] = report.lifted
-    else:
-        payload["lifted"] = None
     _emit(payload, args.pretty)
     return 0
 

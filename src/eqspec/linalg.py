@@ -1,9 +1,10 @@
 """Exact and numeric dense linear algebra.
 
-Exact side: arbitrary-precision integer/rational matrices, monic
-characteristic polynomials (batched multi-modular Faddeev-LeVerrier in
-int64 with Chinese remaindering), polynomial arithmetic with gcd-based
-square-free factorization.
+Exact side: arbitrary-precision integer/rational matrices; monic
+characteristic polynomials of ExactMatrix lists (``char_polys``) and of
+integer arrays (``integer_char_polys``) from one batched multi-modular
+Faddeev-LeVerrier kernel in int64 with Chinese remaindering; polynomial
+arithmetic with gcd-based square-free factorization.
 
 Numeric side: full spectra and spectral radii through LAPACK, single or
 batched over a stack of matrices, and a tolerance-aware eigenvalue multiset
@@ -276,21 +277,44 @@ def _prime(bits: int, i: int) -> int:
     return q
 
 
-def char_polys(matrices: list[ExactMatrix]) -> list[Polynomial]:
-    """Exact monic characteristic polynomials det(xI - M), in input order.
+def _char_coefficients(a: np.ndarray, r: int) -> list[list[int]]:
+    """c_1..c_n of det(xI - A) = x^n + c_1 x^(n-1) + ... + c_n for each A of an
+    integer (m, n, n) array (int64, or object for larger ints) with absolute
+    row sums at most r: the one exact char-poly kernel. |c_k| <= C(n,k) r^k <
+    (1+r)^n, so the largest primes p below 2**bits, (n+1) * 4**bits <= 2**63
+    (p > n at any order that fits in memory), are taken until their product
+    exceeds 2 (1+r)^n. Faddeev-LeVerrier on the residues, M_1 = A, c_k =
+    -tr(M_k) / k and M_(k+1) = A M_k + c_k A mod p, keeps every intermediate
+    value below (n+1)(p-1)^2 < 2**63; the Chinese remainder theorem gives c_k
+    in the symmetric range."""
+    m, n = len(a), a.shape[2]
+    bound, primes = 2 * (1 + r) ** n, []
+    while math.prod(primes) <= bound:
+        primes.append(_prime((63 - n.bit_length()) // 2, len(primes)))
+    a = (a[:, None] % np.array(primes)[:, None, None]).astype(np.int64).reshape(-1, n, n)
+    p_col = np.tile(primes, m)
+    inv = np.tile([[pow(-k, -1, p) for p in primes] for k in range(1, n + 1)], m)
+    residues, m_k = [], a
+    for k in range(n):
+        # inv[k] = -1/(k+1) mod p; tr(M_k) <= n (p-1), so their product is below 2**63
+        c = m_k.trace(axis1=1, axis2=2) * inv[k] % p_col
+        residues.append(c)
+        if k + 1 < n:
+            m_k = (a @ m_k + c[:, None, None] * a) % p_col[:, None, None]
+    half = (big := math.prod(primes)) // 2
+    weights = [big // p * pow(big // p, -1, p) for p in primes]
+    by_matrix = np.reshape(residues, (n, m, len(primes))).transpose(1, 0, 2)
+    return [
+        [(sum(map(operator.mul, rs, weights)) + half) % big - half for rs in by_k]
+        for by_k in by_matrix.tolist()
+    ]
 
-    One multi-modular Faddeev-LeVerrier pass per matrix order n. Each
-    matrix is scaled to integers by the lcm d of its denominators; with R
-    its largest absolute row sum, every eigenvalue is at most R in modulus,
-    so |c_k| <= C(n,k) R^k < (1+R)^n. The largest primes p below 2**bits,
-    (n+1) * 4**bits <= 2**63 (so p > n at any order that fits in memory),
-    are taken until their product exceeds 2 (1+R)^n, and every matrix's
-    residues mod every prime form one int64 stack (a matrix with R >= 2**62
-    is reduced in Python first). With M_1 = A, c_k = -tr(M_k) / k and
-    M_(k+1) = A M_k + c_k A, all mod p, every entry stays below p and no
-    intermediate value exceeds (n+1)(p-1)^2 < 2**63. The Chinese remainder
-    theorem gives c_k in the symmetric range; c_k / d^k is M's coefficient.
-    """
+
+def char_polys(matrices: list[ExactMatrix]) -> list[Polynomial]:
+    """Exact monic characteristic polynomials det(xI - M), in input order,
+    from one ``_char_coefficients`` pass per order: each matrix scaled to
+    integers by the lcm d of its denominators (c_k / d^k is M's
+    coefficient), as Python ints if a row sum reaches 2**62."""
     out: list[Polynomial] = [None] * len(matrices)
     for n in dict.fromkeys(m.n for m in matrices):
         members = [i for i, m in enumerate(matrices) if m.n == n]
@@ -301,32 +325,22 @@ def char_polys(matrices: list[ExactMatrix]) -> list[Polynomial]:
             if d > 1:
                 rows = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
             scaled.append((d, rows, max(sum(map(abs, row)) for row in rows)))
-        bound, primes = 2 * (1 + max(r for *_, r in scaled)) ** n, []
-        while math.prod(primes) <= bound:
-            primes.append(_prime((63 - n.bit_length()) // 2, len(primes)))
-        ps = np.array(primes, dtype=np.int64)[:, None, None]
-        a = np.concatenate([
-            np.array(rows, dtype=np.int64) % ps if r < 2**62
-            else np.array([[[x % p for x in row] for row in rows] for p in primes], dtype=np.int64)
-            for _, rows, r in scaled
-        ])
-        p_col = np.tile(primes, len(members))
-        inv = np.tile([[pow(-k, -1, p) for p in primes] for k in range(1, n + 1)], len(members))
-        residues, m_k = [], a
-        for k in range(n):
-            # inv[k] = -1/(k+1) mod p; tr(M_k) <= n (p-1), so their product is below 2**63
-            c = m_k.trace(axis1=1, axis2=2) * inv[k] % p_col
-            residues.append(c)
-            if k + 1 < n:
-                m_k = (a @ m_k + c[:, None, None] * a) % p_col[:, None, None]
-        half = (big := math.prod(primes)) // 2
-        weights = [big // p * pow(big // p, -1, p) for p in primes]
-        by_matrix = np.reshape(residues, (n, len(members), len(primes))).transpose(1, 0, 2)
-        for i, (d, _, _), by_k in zip(members, scaled, by_matrix.tolist()):
-            cs = [(sum(map(operator.mul, rs, weights)) + half) % big - half for rs in by_k]
+        r = max(r for *_, r in scaled)
+        a = np.array([rows for _, rows, _ in scaled], dtype=np.int64 if r < 2**62 else object)
+        for i, (d, _, _), cs in zip(members, scaled, _char_coefficients(a, r)):
             cs = [c if d == 1 else Fraction(c, d**k) for k, c in enumerate(cs, 1)]
             out[i] = Polynomial([*reversed(cs), 1])
     return out
+
+
+def integer_char_polys(stack: np.ndarray) -> list[Polynomial]:
+    """``char_polys`` of each matrix of a signed integer (m, n, n) array, such
+    as a ``graphs.build_matrices`` stack, with no Python row built."""
+    a = np.asarray(stack, dtype=np.int64)
+    # float row sums below 2**53 are exact; past it, the rows are summed in Python
+    r = np.abs(a.astype(np.float64)).sum(axis=2).max(initial=0)
+    r = int(r) if r < 2**53 else np.abs(a.astype(object)).sum(axis=2).max()
+    return [Polynomial([*reversed(cs), 1]) for cs in _char_coefficients(a, r)]
 
 
 def char_poly(m: ExactMatrix) -> Polynomial:

@@ -390,8 +390,12 @@ def lift_check(m, part: Partition) -> QuotientReport:
     equitable, b = _equitable_quotient(a, part)
     if not equitable:
         raise NotEquitable("lift_check requires an equitable partition")
-    lifted = eigenvalues(a, cluster_tol=0.0).contains(eigenvalues(b, cluster_tol=0.0))
-    return QuotientReport(B=b, equitable=True, lifted=lifted)
+    return QuotientReport(B=b, equitable=True, lifted=_lifts(a, _eigvals(b)))
+
+
+def _lifts(a: np.ndarray, quotient_values) -> bool:
+    """Whether raw quotient eigenvalues lie in a's spectrum, both unclustered."""
+    return eigenvalues(a, cluster_tol=0.0).contains(Spectrum.from_values(quotient_values, 0.0))
 
 
 @dataclass(frozen=True)

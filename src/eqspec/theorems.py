@@ -36,13 +36,12 @@ from .families import (
 from .graphs import MatrixKind, build_matrices, build_matrix
 from .linalg import (
     _NUMERIC_TOL,
-    ExactMatrix,
     Polynomial,
     Spectrum,
     char_poly,
-    char_polys,
     eigenvalues,
     eigvals_stack,
+    integer_char_polys,
     largest_real_root,
     spectral_radius,
 )
@@ -492,16 +491,16 @@ def _handle_connectivity_theorem(theorem, kind: MatrixKind, params: dict):
     ps = range(1, n - k)
     fams = [theorem.family(n, k, p) for p in ps]
     specs = [adjacency_blockspec(fam, kind) for fam in fams]
-    quotients = [spec.quotient() for spec in specs]
-    # every member from one stacked build, then one solver call per stack and
-    # one exact char-poly pass over members and quotients
+    # every member from one stacked build, then one solver call and one exact
+    # char-poly pass per integer stack, of the members and of their quotients
     stack = build_matrices([build(fam) for fam in fams], kind)
+    quotients = np.array([spec.quotient().rows for spec in specs], dtype=np.int64)
     full_values = eigvals_stack(stack.astype(np.float64))
-    quotient_values = eigvals_stack(np.stack([b.to_numpy() for b in quotients]))
-    polys = char_polys([ExactMatrix(rows) for rows in stack.tolist()] + quotients)
+    quotient_values = eigvals_stack(quotients.astype(np.float64))
     dev, identities_ok, values = 0.0, True, {}
     for p, fam, spec, m_vals, b_vals, m_poly, b_poly in zip(
-        ps, fams, specs, full_values, quotient_values, polys, polys[len(fams) :]
+        ps, fams, specs, full_values, quotient_values,
+        integer_char_polys(stack), integer_char_polys(quotients),
     ):
         full = Spectrum.from_values(m_vals)
         member_dev, member_ok, values[p] = theorem.check_member(n, k, p, kind, fam, b_poly, full)
@@ -533,7 +532,7 @@ def _handle_laplacian_spectra(family, spectra, kind: MatrixKind, params: dict):
     n, k, p = params["n"], params["k"], params["p"]
     fam = family(n, k, p)
     closed = spectra(n, k, p, kind)
-    numeric = eigenvalues(build_matrix(build(fam), kind).to_numpy())
+    numeric = eigenvalues(build_matrices([build(fam)], kind)[0])
     dev = closed.deviation(numeric)
     return dev <= _NUMERIC_TOL, dev, {
         "kind": kind.value,

@@ -7,10 +7,12 @@ import json
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqspec import linalg, quotient
 from eqspec.cli import main
 from eqspec.families import Petersen, build
 from eqspec.graphs import Graph, format_graph_file
@@ -93,6 +95,28 @@ def test_quotient_subcommand(run, petersen_file):
     payload = json.loads(out)
     assert payload["B"] == [[21.0, 9.0], [9.0, 21.0]]
     assert payload["equitable"] is True and payload["lifted"] is True
+
+
+def test_quotient_sums_the_cells_once_and_solves_the_quotient_once(
+    run, petersen_file, monkeypatch
+):
+    summed, solved = [], []
+    equitable_quotient, eigvals = quotient._equitable_quotient, linalg._eigvals
+
+    def sum_spy(m, *args):
+        summed.append(np.shape(m))
+        return equitable_quotient(m, *args)
+
+    def solve_spy(a, *args):
+        solved.append(a.shape)
+        return eigvals(a, *args)
+
+    monkeypatch.setattr(quotient, "_equitable_quotient", sum_spy)
+    monkeypatch.setattr(linalg, "_eigvals", solve_spy)
+    code, _, _ = run(["quotient", petersen_file, "--partition", "{0,1,2,3,4|5,6,7,8,9}"])
+    assert code == 0
+    assert summed == [(10, 10)]
+    assert sorted(solved) == [(2, 2), (10, 10)]
 
 
 def test_quotient_not_equitable_reports_null_lift(run, tmp_path):

@@ -27,6 +27,7 @@ from eqspec.linalg import (
     char_poly,
     char_polys,
     eigenvalues,
+    integer_char_polys,
     largest_real_root,
     poly_roots,
     spectral_radius,
@@ -223,6 +224,33 @@ def test_char_polys_zero_matrices_and_empty_batch():
     zeros = [ExactMatrix([[0] * n] * n) for n in (1, 4, 32)]
     assert char_polys(zeros) == [Polynomial([0, 1]) ** n for n in (1, 4, 32)]
     assert char_polys(zeros) == [berkowitz_char_poly(m) for m in zeros]
+
+
+def _integer_stacks(rng):
+    """(m, n, n) stacks of orders 1-16: signed int32 entries over the full
+    range (row sums past 2**31) and below 2**40 in int64, each with a zero
+    matrix; one-matrix stacks of int64 entries up to 2**63 - 1, whose float
+    row sums pass 2**53."""
+    for n in range(1, 17):
+        for dtype, high in ((np.int32, 2**31 - 1), (np.int64, 2**40)):
+            stack = rng.integers(-high, high, (3, n, n), dtype=dtype, endpoint=True)
+            stack[1] = 0
+            yield stack
+        yield rng.integers(-(2**63) + 1, 2**63 - 1, (1, n, n), dtype=np.int64)
+
+
+def test_integer_char_polys_against_both_oracles_and_the_exact_entry():
+    for stack in _integer_stacks(np.random.default_rng(16)):
+        polys = integer_char_polys(stack)
+        matrices = [ExactMatrix(rows) for rows in stack.tolist()]
+        assert polys == char_polys(matrices)
+        for m, poly in zip(matrices, polys):
+            assert poly == berkowitz_char_poly(m) == charpoly_by_interpolation(m)
+
+
+def test_integer_char_polys_of_an_empty_stack():
+    for n in (1, 4):
+        assert integer_char_polys(np.zeros((0, n, n), dtype=np.int32)) == []
 
 
 # ---------------------------------------------------------------------------

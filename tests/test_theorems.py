@@ -19,6 +19,7 @@ from eqspec.families import (
 )
 from eqspec.graphs import build_matrix
 from eqspec.linalg import (
+    ExactMatrix,
     Polynomial,
     Spectrum,
     char_poly,
@@ -426,6 +427,27 @@ def test_connectivity_theorem_equals_member_loop_oracle(claim_id):
 def test_connectivity_theorem_equals_member_loop_oracle_large(claim_id, n):
     for k in sorted({1, n // 2, n - 2}):
         _assert_report_equals_member_loop(claim_id, n, k)
+
+
+@pytest.mark.parametrize(
+    "claim_id, params",
+    [
+        ("thm4.3.iv", {"n": 12, "k": 3}),
+        ("thm5.2.ii", {"n": 10, "k": 2}),
+        ("prop4.4.ii", {"n": 10, "k": 3, "p": 2}),
+    ],
+)
+def test_family_claims_build_no_exact_matrix_of_the_member_order(monkeypatch, claim_id, params):
+    orders = []
+    init = ExactMatrix.__init__
+
+    def spy(self, rows):
+        init(self, rows)
+        orders.append(self.n)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", spy)
+    assert verify_claim(claim_id, params).passed
+    assert params["n"] not in orders
 
 
 @pytest.mark.xfail(
